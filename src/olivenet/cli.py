@@ -6,7 +6,9 @@ configuration and input fingerprints; rerunning a command with the same
 inputs reproduces the numerical output files byte for byte (the manifest
 itself carries timestamps and is excluded from that guarantee).
 
-Exit codes: 0 success, 1 internal error, 2 input error, 3 empty result.
+Exit codes: 0 success, 1 internal error, 2 input error, 3 empty result,
+4 training diverged (a non-finite loss, MAE or prediction; lower the
+learning rate).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_EMPTY = 3
+EXIT_DIVERGED = 4
 
 
 class InputError(Exception):
@@ -444,6 +447,9 @@ def main(argv=None) -> int:
     except EmptyResultError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY
+    except (nn.DivergenceError, emod.FoldDivergedError) as e:
+        print(f"error: training diverged: {e}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (InputError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

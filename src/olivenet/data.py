@@ -389,7 +389,9 @@ def load_spectra(
     reps: dict[str, int] = {}
     with Path(spectra_path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise LabelParseError("empty spectra file", 1)
         if header[:3] != ["oil_id", "excitation_nm", "repetition"] or len(header) != 3 + p:
             raise LabelParseError("bad spectra header", 1)
         for line, row in enumerate(reader, start=2):

@@ -29,6 +29,7 @@ from .data import (
     normalize,
 )
 from .nn import (
+    DivergenceError,
     EmptyBatchError,
     HyperParams,
     build_network,
@@ -46,6 +47,14 @@ class FoldError(RuntimeError):
     def __init__(self, oil_id: str, cause: BaseException):
         super().__init__(f"fold {oil_id}: {cause}")
         self.oil_id = oil_id
+        self.cause = cause
+
+    def __reduce__(self):  # rebuilt from both arguments when sent back by a worker
+        return type(self), (self.oil_id, self.cause)
+
+
+class FoldDivergedError(FoldError):
+    """A fold's training loss, MAE or predictions became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,10 @@ class FoldResult:
     chosen_checkpoint: str
 
     def __post_init__(self):
+        if not (np.isfinite([self.mae_train, self.mae_val]).all()
+                and np.isfinite(self.predictions).all()):
+            raise FoldDivergedError(self.held_out_oil,
+                                    ArithmeticError("non-finite MAE or predictions"))
         if self.mae_train < 0 or self.mae_val < 0:
             raise ValueError("MAE cannot be negative")
         if self.chosen_checkpoint not in CHECKPOINT_KINDS:
@@ -148,6 +161,8 @@ def _run_fold(args):
     try:
         train(net, x_tr, y_tr, hp, rng, validation=(x_va, y_va),
               val_every=val_every, callbacks=[keep_best])
+    except DivergenceError as e:
+        raise FoldDivergedError(hold, e) from e
     except Exception as e:  # annotate with the fold id
         raise FoldError(hold, e) from e
 

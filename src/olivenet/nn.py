@@ -2,9 +2,16 @@
 
 Architecture (fixed topology, configurable sizes)::
 
-    Conv1D(f1, k1) -> ReLU -> MaxPool(p) -> Conv1D(f2, k2) -> ReLU
+    Conv1D(f1, k1) -> MaxPool(p) -> ReLU -> Conv1D(f2, k2) -> ReLU
       -> Flatten -> Dropout -> Dense(d1, relu) -> Dense(d2, relu)
       -> Dense(1, identity)
+
+Pooling comes before the first ReLU.  ReLU is monotone, so it commutes with
+max exactly, even in floating point: relu(max(w)) == max(relu(w)) for every
+window w.  Gradients agree too: a window whose max is <= 0 outputs 0 and
+passes no gradient, wherever its argmax points, and in any other window
+the argmax is the same.  Pooling first applies ReLU to a map ``pool`` times
+smaller and saves a full pass over the conv1 map.
 
 Dropout regularizes the flattened convolution features feeding the dense
 head.  At the default rate of 0.5 that placement matters: dropping half of
@@ -19,10 +26,22 @@ Convolutions are valid (no padding), stride 1.  Two implementations coexist:
   fixed order (bias first, then filter taps with the kernel index innermost
   and the input channel outer) so a brute-force loop reproduces it bit for
   bit;
-* the mini-batch engine used by ``forward``/``train`` evaluates the same
-  maps through FFT cross-correlation and matrix products.  It is free to
-  reassociate floating-point sums, so it matches the contract ops to ~1e-13
-  relative rather than bitwise; the tests pin both paths together.
+* the batched engine evaluates the same maps through FFT cross-correlation
+  and matrix products.  It is free to reassociate floating-point sums, so
+  it matches the contract ops to ~1e-13 relative rather than bitwise; the
+  tests pin both paths together.
+
+The batched engine has two paths:
+
+* the training step (``_batch_forward``/``_batch_backward``) runs one
+  mini-batch at a time.  Its forward pass records the first-occurrence
+  argmax of every pool window and the other values the backward pass needs
+  in a cache;
+* the inference pass (``_infer``), behind ``forward`` in eval mode and the
+  validation loss in ``train``, keeps no cache.  It pools with a running
+  ``np.maximum`` over the ``pool`` offsets, with no argmax, and walks its
+  input ``INFER_CHUNK`` rows at a time, so its working set does not grow
+  with the batch: scoring 420 spectra needs no more memory than scoring 64.
 
 Training is mini-batch gradient descent with Adam-style adaptive moments.
 """
@@ -64,6 +83,9 @@ class DivergenceError(RuntimeError):
         super().__init__(f"non-finite training loss at epoch {epoch}")
         self.epoch = epoch
 
+    def __reduce__(self):  # rebuilt from the epoch when sent back by a worker
+        return type(self), (self.epoch,)
+
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -72,8 +94,10 @@ ADAM_EPS = 1e-8
 #: Hyperparameter tuning grid explored for this architecture.
 FILTERS_GRID = (4, 6)
 POOL_GRID = (8, 16)
-EPOCHS_GRID = (5000, 10000)
-BATCH_GRID = (8, 16, 64)
+
+#: Rows per block of the inference pass.  It bounds the pass's working set
+#: (about 10 MB at P=1024 with 6 conv1 filters) whatever the batch size.
+INFER_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -409,47 +433,75 @@ def _fft_sizes(net: Network) -> tuple[int, int]:
     return n1, n2
 
 
-def _batch_forward(net: Network, x: np.ndarray, mode: str = "eval",
-                   rng: Optional[np.random.Generator] = None,
-                   fx: Optional[np.ndarray] = None):
-    """Vectorized forward over a batch (B, P); returns (pred, cache).
+def _spectrum_buffer(net: Network, rows: int) -> np.ndarray:
+    """Room for the conv1 spectra of ``rows`` inputs, for ``_conv1_map``."""
+    n1, _ = _fft_sizes(net)
+    return np.empty((rows, net.hp.filters1, n1 // 2 + 1), complex)
 
-    Cross-correlations run in the frequency domain; biases enter through the
-    DC bin.  Only the first pool*floor(L1/pool) conv1 outputs are
-    materialized correctly since the trailing partial window never reaches
-    pooling.
+
+def _conv1_map(net: Network, fx: np.ndarray, spec: Optional[np.ndarray] = None) -> np.ndarray:
+    """Raw conv1 map (B, C1, n1) from the input spectra ``fx`` (B, n1//2 + 1).
+
+    ``spec`` is an optional buffer with at least B rows for the product of
+    the spectra.  Biases enter through the DC bin.  Only the first
+    pool*floor(L1/pool) positions are used: the trailing partial window
+    never reaches pooling.
     """
+    n1, _ = _fft_sizes(net)
+    spec = np.multiply(fx[:, None, :], np.conj(sfft.rfft(net.conv1.filters[:, 0, :], n=n1)),
+                       out=None if spec is None else spec[:fx.shape[0]])
+    spec[:, :, 0] += n1 * net.conv1.biases
+    return sfft.irfft(spec, n=n1)
+
+
+def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conv2 over the pooled maps; returns (rfft of x2, pre-activation map)."""
+    _, n2 = _fft_sizes(net)
+    fx2 = sfft.rfft(x2, n=n2)
+    spec2 = np.einsum("bjf,cjf->bcf", fx2, np.conj(sfft.rfft(net.conv2.filters, n=n2)))
+    spec2[:, :, 0] += n2 * net.conv2.biases
+    return fx2, sfft.irfft(spec2, n=n2)[:, :, :net.shapes["conv2"]]
+
+
+def _dense_head(net: Network, flat: np.ndarray):
+    """The three dense layers; returns (pred, z1, a1, z2, a2)."""
+    z1 = flat @ net.dense1.weights.T + net.dense1.biases
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ net.dense2.weights.T + net.dense2.biases
+    a2 = np.maximum(z2, 0.0)
+    return (a2 @ net.output.weights.T + net.output.biases)[:, 0], z1, a1, z2, a2
+
+
+def _check_batch(net: Network, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != net.input_len:
         raise ShapeError(f"batch shape {x.shape} does not match input length {net.input_len}")
+
+
+def _batch_forward(net: Network, x: Optional[np.ndarray], mode: str = "eval",
+                   rng: Optional[np.random.Generator] = None,
+                   fx: Optional[np.ndarray] = None, spec: Optional[np.ndarray] = None):
+    """Training-step forward over a batch (B, P); returns (pred, cache).
+
+    ``fx`` is the batch's precomputed rfft; when it is given, ``x`` is not
+    read and may be None.  ``spec`` is passed on to ``_conv1_map``.
+    """
+    if fx is None:
+        _check_batch(net, x)
+        fx = sfft.rfft(x, n=net.input_len)
     if mode == "train" and net.hp.dropout > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
-    n = x.shape[0]
-    s = net.shapes
-    l1, lp, l2 = s["conv1"], s["pool"], s["conv2"]
-    pool = net.hp.pool
-    k2 = net.hp.ksize2
-    n1, n2 = _fft_sizes(net)
-    lpp = lp * pool
+    n = fx.shape[0]
+    lp, pool = net.shapes["pool"], net.hp.pool
 
-    if fx is None:
-        fx = sfft.rfft(x, n=n1)
-    spec = fx[:, None, :] * np.conj(sfft.rfft(net.conv1.filters[:, 0, :], n=n1))
-    spec[:, :, 0] += n1 * net.conv1.biases        # constant offset via the DC bin
-    v1 = sfft.irfft(spec, n=n1)                   # (n, C1, n1); tail >= lpp unused
-    act = v1[:, :, :lpp]
-    np.maximum(act, 0.0, out=act)
-
+    v1 = _conv1_map(net, fx, spec)
     st = v1.strides
     win = as_strided(v1, (n, net.hp.filters1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
     rel = win.argmax(axis=3)
     x2 = np.take_along_axis(win, rel[..., None], axis=3)[..., 0]
+    np.maximum(x2, 0.0, out=x2)
 
-    fx2 = sfft.rfft(x2, n=n2)
-    spec2 = np.einsum("bjf,cjf->bcf", fx2, np.conj(sfft.rfft(net.conv2.filters, n=n2)))
-    spec2[:, :, 0] += n2 * net.conv2.biases
-    y2 = sfft.irfft(spec2, n=n2)[:, :, :l2]
-    r2 = np.maximum(y2, 0.0)
-    flat = r2.reshape(n, -1)
+    fx2, y2 = _conv2(net, x2)
+    flat = np.maximum(y2, 0.0).reshape(n, -1)
 
     rate = net.hp.dropout
     if mode == "train" and rate > 0.0:
@@ -457,18 +509,36 @@ def _batch_forward(net: Network, x: np.ndarray, mode: str = "eval",
         fdrop = flat * keep / (1.0 - rate)
     else:
         keep, fdrop = None, flat
-    z1 = fdrop @ net.dense1.weights.T + net.dense1.biases
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ net.dense2.weights.T + net.dense2.biases
-    a2 = np.maximum(z2, 0.0)
-    pred = (a2 @ net.output.weights.T + net.output.biases)[:, 0]
+    pred, z1, a1, z2, a2 = _dense_head(net, fdrop)
 
     cache = (fx, rel, x2, fx2, y2, keep, fdrop, z1, a1, z2, a2)
     return pred, cache
 
 
-def _batch_backward(net: Network, cache, grad_pred: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of all parameters for a batch; keys match net.parameters()."""
+def _infer(net: Network, x: np.ndarray) -> np.ndarray:
+    """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time."""
+    _check_batch(net, x)
+    pool = net.hp.pool
+    lpp = net.shapes["pool"] * pool
+    pred = np.empty(x.shape[0])
+    spec = _spectrum_buffer(net, min(x.shape[0], INFER_CHUNK))
+    for lo in range(0, x.shape[0], INFER_CHUNK):
+        v1 = _conv1_map(net, sfft.rfft(x[lo:lo + INFER_CHUNK], n=net.input_len), spec)
+        # the 0.0 floor is the ReLU: max(0, a, b, ...) == relu(max(a, b, ...))
+        x2 = np.maximum(v1[:, :, 0:lpp:pool], 0.0)
+        for k in range(1, pool):
+            np.maximum(x2, v1[:, :, k:lpp:pool], out=x2)
+        _, y2 = _conv2(net, x2)
+        pred[lo:lo + INFER_CHUNK] = _dense_head(net, np.maximum(y2, 0.0).reshape(len(x2), -1))[0]
+    return pred
+
+
+def _batch_backward(net: Network, cache, grad_pred: np.ndarray,
+                    g1: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
+    """Gradients of all parameters for a batch; keys match net.parameters().
+
+    ``g1`` is an optional (>= B, C1, n1) buffer for the conv1 map gradient.
+    """
     fx, rel, x2, fx2, y2, keep, fdrop, z1, a1, z2, a2 = cache
     n = grad_pred.shape[0]
     s = net.shapes
@@ -498,9 +568,13 @@ def _batch_backward(net: Network, cache, grad_pred: np.ndarray) -> dict[str, np.
     gx2 = sfft.irfft(
         np.einsum("bcf,cjf->bjf", fg2, sfft.rfft(net.conv2.filters, n=n2)), n=n2)[:, :, :lp]
 
-    # relu'(conv1) at an argmax equals (pooled value > 0); route through both
+    # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing
     geff = gx2 * (x2 > 0)
-    g1 = np.zeros((n, net.hp.filters1, n1))
+    if g1 is None:
+        g1 = np.zeros((n, net.hp.filters1, n1))
+    else:
+        g1 = g1[:n]
+        g1.fill(0.0)
     st = g1.strides
     gwin = as_strided(g1, (n, net.hp.filters1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
     np.put_along_axis(gwin, rel[..., None], geff[..., None], axis=3)
@@ -527,7 +601,8 @@ def forward(net: Network, x: np.ndarray, mode: str = "eval",
         raise ValueError("mode must be 'train' or 'eval'")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pred, _ = _batch_forward(net, x[None, :] if single else x, mode, rng)
+    batch = x[None, :] if single else x
+    pred = _batch_forward(net, batch, mode, rng)[0] if mode == "train" else _infer(net, batch)
     return float(pred[0]) if single else pred
 
 
@@ -592,10 +667,17 @@ def train(
         raise ShapeError("spectra and targets disagree in length")
     if spectra.shape[0] == 0:
         raise EmptyBatchError("nothing to train on")
+    _check_batch(net, spectra)
 
     n_total = spectra.shape[0]
     fx_all = sfft.rfft(spectra, n=net.input_len)  # inputs never change; hoist the FFT
     opt = Adam(net.parameters(), hp.learning_rate)
+    # Without these reused buffers every batch of the default network at
+    # B=64 allocates and frees two pairs of 3 MB arrays.  Freed together at
+    # the top of the heap they exceed glibc's trim threshold, go back to the
+    # OS and are faulted in again by the next batch.
+    rows = min(hp.batch, n_total)
+    spec, g1 = _spectrum_buffer(net, rows), np.empty((rows, net.hp.filters1, net.input_len))
     trace: list[EpochRecord] = []
 
     for epoch in range(hp.epochs):
@@ -603,17 +685,16 @@ def train(
         sq_sum = 0.0
         for lo in range(0, n_total, hp.batch):
             idx = order[lo:lo + hp.batch]
-            pred, cache = _batch_forward(net, spectra[idx], "train", rng, fx=fx_all[idx])
+            pred, cache = _batch_forward(net, None, "train", rng, fx_all[idx], spec)
             res = pred - targets[idx]
             sq_sum += float(res @ res)
-            opt.step(_batch_backward(net, cache, 2.0 * res / idx.size))
+            opt.step(_batch_backward(net, cache, 2.0 * res / idx.size, g1))
         train_mse = sq_sum / n_total
         if not np.isfinite(train_mse):
             raise DivergenceError(epoch)
         val_mse = None
         if validation is not None and ((epoch + 1) % val_every == 0 or epoch == hp.epochs - 1):
-            vp, _ = _batch_forward(net, validation[0], "eval")
-            val_mse, _ = mse_loss(vp, validation[1])
+            val_mse, _ = mse_loss(_infer(net, validation[0]), validation[1])
         trace.append(EpochRecord(epoch, train_mse, val_mse))
         for cb in callbacks:
             cb(epoch, train_mse, val_mse, net)

@@ -121,6 +121,28 @@ class TestLoocv:
         untrained = emod.mae(nn.forward(net, x[va]), y[va])
         assert summary["folds"][0]["mae_val"] == pytest.approx(untrained, abs=1e-12)
 
+    @pytest.mark.parametrize("epochs, jobs", [(1, 1), (3, 2)])
+    def test_diverged_run_exits_4(self, dataset_dir, tmp_path, capsys, epochs, jobs):
+        # 42 training spectra make one batch per epoch.  With 1 epoch the
+        # loss stays finite and the scored predictions are not; with 3 the
+        # loss itself overflows inside a worker process.
+        out = tmp_path / "diverged"
+        argv = ["loocv", "--data", dataset_dir, "--parameter", "acidity",
+                "--seed", 3, "--out", out, "--batch", 64, "--learning-rate", "1e300"]
+        argv += LOOCV_QUICK[2:-2] + ["--epochs", epochs, "--jobs", jobs]
+        assert run(argv) == cli.EXIT_DIVERGED == 4
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_empty_spectra_file_exit_2(self, dataset_dir, tmp_path, capsys):
+        import shutil
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        (data / "spectra.csv").write_text("")
+        assert run(["loocv", "--data", data, "--parameter", "acidity",
+                    "--out", tmp_path / "r"] + LOOCV_QUICK) == 2
+        assert "empty spectra file" in capsys.readouterr().err
+
     def test_rerun_reproduces_numerical_outputs(self, dataset_dir, loocv_dir, tmp_path):
         again = tmp_path / "again"
         assert run(["loocv", "--data", dataset_dir, "--parameter", "acidity",
@@ -195,8 +217,22 @@ class TestReport:
 
 class TestEntryPoint:
     def test_console_script_help(self):
+        # `python -m olivenet` needs no install; pyproject.toml must map the
+        # installed `olivenet` script to the same function
+        import os
         import subprocess
-        proc = subprocess.run(["olivenet", "--help"], capture_output=True, text=True)
+        import sys
+        from pathlib import Path
+
+        import olivenet
+        src = str(Path(olivenet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        proc = subprocess.run([sys.executable, "-m", "olivenet", "--help"],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         for sub in ("generate", "train", "loocv", "compare", "classify", "report"):
             assert sub in proc.stdout
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        assert 'olivenet = "olivenet.cli:main"' in scripts

@@ -238,6 +238,12 @@ class TestSpectraIO:
             assert (a.oil_id, a.repetition, a.excitation_nm) == \
                 (b.oil_id, b.repetition, b.excitation_nm)
 
+    def test_empty_file_is_parse_error(self, small_dataset, tmp_path):
+        (tmp_path / "s.csv").write_text("")
+        dmod.save_grid(small_dataset.grid, tmp_path / "g.txt")
+        with pytest.raises(LabelParseError, match="empty spectra file"):
+            dmod.load_spectra(tmp_path / "s.csv", tmp_path / "g.txt", small_dataset.records)
+
     def test_dark_applied_on_load(self, small_dataset, tmp_path):
         dmod.save_spectra(small_dataset, tmp_path / "s.csv")
         dmod.save_grid(small_dataset.grid, tmp_path / "g.txt")

@@ -159,6 +159,17 @@ class TestDeterminismAndParallelism:
         assert summary_to_json(serial) == summary_to_json(parallel)
 
 
+class TestFoldResult:
+    @pytest.mark.parametrize("mae_train, mae_val, preds", [
+        (np.nan, 0.1, (1.0, 1.0)),
+        (0.1, np.inf, (1.0, 1.0)),
+        (0.1, 0.1, (1.0, np.nan)),
+    ])
+    def test_non_finite_values_rejected(self, mae_train, mae_val, preds):
+        with pytest.raises(emod.FoldDivergedError, match="O01"):
+            FoldResult("O01", 1.0, mae_train, mae_val, preds, "best_val_loss")
+
+
 def _summary(parameter, maes_train, maes_val, kind="best_val_loss"):
     folds = tuple(
         FoldResult(f"O{i:02d}", 1.0, t, v, (1.0, 1.0), kind)

@@ -340,6 +340,17 @@ class TestNetworkForward:
         singles = np.array([forward(toy_net, x) for x in xs])
         np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("hp, p", [(TOY_HP, TOY_P), (HyperParams(), 1024)])
+    @pytest.mark.parametrize("b", [1, 2 * nn.INFER_CHUNK + 1])
+    def test_inference_pass_matches_training_step(self, hp, p, b, rng):
+        # b = 2*chunk + 1 leaves a one-row last chunk
+        net = build_network(hp, p, np.random.default_rng(31))
+        xs = rng.standard_normal((b, p))
+        step, _ = nn._batch_forward(net, xs, "eval")
+        np.testing.assert_allclose(forward(net, xs), step, rtol=1e-12,
+                                   atol=1e-14 * np.abs(step).max())
+        assert forward(net, xs[0]) == pytest.approx(step[0], rel=1e-12, abs=1e-14)
+
     def test_eval_forward_pure(self, toy_net, rng):
         x = rng.standard_normal(TOY_P)
         assert forward(toy_net, x) == forward(toy_net, x)  # bitwise
@@ -366,6 +377,53 @@ class TestCompositeGradient:
             np.testing.assert_allclose(
                 grads[key], fd, rtol=1e-4, atol=1e-7,
                 err_msg=f"gradient mismatch for {key}")
+
+    def test_ties_and_negative_pool_windows_match_contract_ops(self, rng):
+        # Zero conv1 filters give constant channels, exact through the FFT:
+        # channel 0 (bias 0.5) ties in every pool window, channel 1 (bias
+        # -0.5) has only all-negative windows, channel 2 is a random filter.
+        hp = HyperParams(filters1=3, filters2=2, ksize1=5, ksize2=3, pool=4,
+                         dropout=0.0, dense_sizes=(6, 4))
+        net = build_network(hp, TOY_P, np.random.default_rng(21))
+        net.conv1.filters[:2] = 0.0
+        net.conv1.biases[:] = [0.5, -0.5, 0.1]
+        xs = rng.standard_normal((3, TOY_P))
+        ys = rng.standard_normal(3)
+        pred, cache = nn._batch_forward(net, xs, "eval")
+        rel, x2 = cache[1], cache[2]
+        assert (x2[:, 0] == 0.5).all() and (rel[:, 0] == 0).all()  # first of the tie
+        assert (x2[:, 1] == 0.0).all()
+        _, gl = mse_loss(pred, ys)
+        grads = nn._batch_backward(net, cache, gl)
+
+        ref = {k: np.zeros_like(v) for k, v in net.parameters().items()}
+
+        def add(prefix, gw, gb):
+            ref[prefix + (".filters" if prefix.startswith("conv") else ".weights")] += gw
+            ref[prefix + ".biases"] += gb
+
+        for x, g in zip(xs, gl):
+            h1 = conv1d_forward(x, net.conv1)
+            pooled, idx = maxpool_forward(np.maximum(h1, 0.0), hp.pool)
+            h2 = conv1d_forward(pooled, net.conv2)
+            flat = np.maximum(h2, 0.0).reshape(-1)
+            a1 = dense_forward(flat, net.dense1)
+            a2 = dense_forward(a1, net.dense2)
+            ga2, gw, gb = dense_backward(np.array([g]), a2, net.output)
+            add("output", gw, gb)
+            ga1, gw, gb = dense_backward(ga2, a1, net.dense2)
+            add("dense2", gw, gb)
+            gflat, gw, gb = dense_backward(ga1, flat, net.dense1)
+            add("dense1", gw, gb)
+            gp, gw, gb = conv1d_backward(gflat.reshape(h2.shape) * (h2 > 0), pooled, net.conv2)
+            add("conv2", gw, gb)
+            g1 = maxpool_backward(gp, idx, h1.shape[1]) * (h1 > 0)
+            _, gw, gb = conv1d_backward(g1, x, net.conv1)
+            add("conv1", gw, gb)
+        assert ref["conv1.filters"][0].any() and not ref["conv1.filters"][1].any()
+        for key, want in ref.items():
+            np.testing.assert_allclose(grads[key], want, rtol=1e-10,
+                                       atol=1e-10 * np.abs(want).max(), err_msg=key)
 
     def test_train_mode_dropout_gradient_frozen_mask(self, rng):
         # replay the engine's train-mode pass with its own mask frozen, so

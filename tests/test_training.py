@@ -6,6 +6,7 @@ from olivenet import nn
 from olivenet.nn import (
     DivergenceError,
     HyperParams,
+    ShapeError,
     build_network,
     forward,
     load_network,
@@ -99,6 +100,32 @@ class TestTrain:
         with pytest.raises(DivergenceError) as ei:
             train(net, x, y, hp, np.random.default_rng(4))
         assert ei.value.epoch >= 0
+
+    def test_reused_buffers_match_fresh_arrays(self, rng):
+        # train() reuses its conv1 buffers across batches, the last one
+        # partial; replaying its steps with fresh arrays must agree bitwise
+        x, y = toy_problem(rng, n=10)
+        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 2, "batch": 4, "dropout": 0.5,
+                            "dense_sizes": TOY_HP.dense_sizes})
+        net = build_network(hp, TOY_P, np.random.default_rng(0))
+        ref = build_network(hp, TOY_P, np.random.default_rng(0))
+        train(net, x, y, hp, np.random.default_rng(1))
+        replay = np.random.default_rng(1)
+        opt = nn.Adam(ref.parameters(), hp.learning_rate)
+        for _ in range(hp.epochs):
+            order = replay.permutation(len(x))
+            for lo in range(0, len(x), hp.batch):
+                idx = order[lo:lo + hp.batch]
+                pred, cache = nn._batch_forward(ref, x[idx], "train", replay)
+                opt.step(nn._batch_backward(ref, cache, 2.0 * (pred - y[idx]) / idx.size))
+        for k, v in net.parameters().items():
+            assert np.array_equal(v, ref.parameters()[k]), k
+
+    def test_wrong_spectrum_length_rejected(self, rng):
+        x, y = toy_problem(rng)
+        net = build_network(TOY_HP, TOY_P + 1, np.random.default_rng(0))
+        with pytest.raises(ShapeError):
+            train(net, x, y, TOY_HP, np.random.default_rng(1))
 
     def test_callbacks_see_every_epoch(self, rng):
         x, y = toy_problem(rng)
