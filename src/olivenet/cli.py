@@ -7,8 +7,8 @@ inputs reproduces the numerical output files byte for byte (the manifest
 itself carries timestamps and is excluded from that guarantee).
 
 Exit codes: 0 success, 1 internal error, 2 input error, 3 empty result,
-4 training diverged (a non-finite loss, MAE or prediction; lower the
-learning rate).
+4 training diverged (a non-finite loss, MAE, parameter or prediction; lower
+the learning rate).  A diverged ``train`` writes no model.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ class InputError(Exception):
 
 class EmptyResultError(Exception):
     """Nothing to report; maps to exit code 3."""
+
+
+class DivergedModelError(Exception):
+    """A trained model has non-finite parameters or predictions; exit code 4."""
 
 
 def _sha256(path: Path) -> str:
@@ -163,6 +167,12 @@ def cmd_train(args) -> int:
     rng = derive_rng(args.seed, "train", parameter.value)
     net = nn.build_network(hp, x.shape[1], rng)
     trace = nn.train(net, x, y, hp, rng)
+    # the last batch's loss is taken before its update, so a finite trace
+    # does not prove a usable model: score the training spectra as well
+    finite = np.isfinite(nn.forward(net, x)).all() and all(
+        np.isfinite(v).all() for v in net.parameters().values())
+    if not finite:
+        raise DivergedModelError("non-finite parameters or predictions after training")
 
     out = _out_dir(args.out)
     nn.save_network(net, out / "model.ocnn")
@@ -187,8 +197,11 @@ def cmd_loocv(args) -> int:
     summary = emod.loocv(dataset, parameter, hp, args.seed,
                          val_every=args.val_every, jobs=jobs)
 
+    input_len = len(dataset.grid)
+    num_parameters = nn.build_network(hp, input_len, np.random.default_rng(0)).num_parameters()
     out = _out_dir(args.out)
-    emod.save_summary(summary, out / "summary.json")
+    emod.save_summary(summary, out / "summary.json",
+                      num_parameters=num_parameters, input_len=input_len)
     emod.save_fold_csv(summary, out / "folds.csv")
     emod.save_scatter_csv(summary, dataset.records, out / "scatter.csv")
     write_manifest(out, "loocv", args.seed, {"data": dataset_dir}, hp.to_dict(),
@@ -219,18 +232,11 @@ def _read_fold_csv(run_dir: Path) -> tuple[str, dict[str, float]]:
 
 
 def _run_param_count(run_dir: Path) -> int | None:
-    manifest = run_dir / "manifest.json"
-    if not manifest.exists():
+    """The network size ``loocv`` recorded in the run's summary, if any."""
+    summary = run_dir / "summary.json"
+    if not summary.exists():
         return None
-    meta = json.loads(manifest.read_text(encoding="utf-8"))
-    if not meta.get("hyperparams"):
-        return None
-    hp = nn.HyperParams.from_dict(meta["hyperparams"])
-    grid_file = Path(meta["config_paths"]["data"]) / "grid.txt"
-    if not grid_file.exists():
-        return None
-    pixels = len(dmod.load_grid(grid_file))
-    return nn.build_network(hp, pixels, np.random.default_rng(0)).num_parameters()
+    return json.loads(summary.read_text(encoding="utf-8")).get("num_parameters")
 
 
 def cmd_compare(args) -> int:
@@ -447,7 +453,7 @@ def main(argv=None) -> int:
     except EmptyResultError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY
-    except (nn.DivergenceError, emod.FoldDivergedError) as e:
+    except (nn.DivergenceError, emod.FoldDivergedError, DivergedModelError) as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except (InputError, ValueError, OSError) as e:

@@ -141,9 +141,14 @@ def _design_matrices(dataset: Dataset, parameter: ParameterId):
     return np.stack(rows), np.array(targets), np.array(ids)
 
 
-def _run_fold(args):
-    """Train one fold and score both checkpoints (top level for pickling)."""
-    (hold, x_tr, y_tr, x_va, y_va, hp, seed, val_every) = args
+def _run_fold(hold, x_all, y_all, ids, hp, seed, val_every):
+    """Train the fold that holds out oil ``hold`` and score both checkpoints.
+
+    The fold's rows are sliced from the full matrices here, when it runs,
+    so only the running folds' copies are alive at any time.
+    """
+    va = ids == hold
+    x_tr, y_tr, x_va, y_va = x_all[~va], y_all[~va], x_all[va], y_all[va]
     rng = derive_rng(seed, "fold", hold)
     net = build_network(hp, x_tr.shape[1], rng)
 
@@ -182,6 +187,20 @@ def _run_fold(args):
     return hold, out
 
 
+#: A pool worker's ``_run_fold`` arguments after the held-out oil, set once
+#: per worker by ``_init_worker``.
+_WORKER_ARGS: tuple = ()
+
+
+def _init_worker(*args) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
+
+
+def _run_worker_fold(hold: str):
+    return _run_fold(hold, *_WORKER_ARGS)
+
+
 def _aggregate(parameter: ParameterId, folds: Sequence[FoldResult]) -> CvSummary:
     tr = np.array([f.mae_train for f in folds])
     va = np.array([f.mae_val for f in folds])
@@ -210,23 +229,20 @@ def loocv_checkpoint_runs(
 
     Folds are independent: each derives its own RNG stream from (seed,
     oil id), so results do not depend on execution order or on ``jobs``.
+    With ``jobs`` > 1 each worker receives the full matrices once, when it
+    starts, and each task carries only the held-out oil id.
     """
     if dataset.n_oil < 3:
         raise ValueError("leave-one-out needs at least 3 oils")
-    x_all, y_all, ids = _design_matrices(dataset, parameter)
+    fold_args = (*_design_matrices(dataset, parameter), hp, seed, val_every)
     oils = sorted({r.oil_id for r in dataset.records})
 
-    tasks = []
-    for hold in oils:
-        va = ids == hold
-        tasks.append((hold, x_all[~va], y_all[~va], x_all[va], y_all[va],
-                      hp, seed, val_every))
-
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = dict(pool.map(_run_fold, tasks))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=fold_args) as pool:
+            results = dict(pool.map(_run_worker_fold, oils))
     else:
-        results = dict(_run_fold(t) for t in tasks)
+        results = dict(_run_fold(hold, *fold_args) for hold in oils)
 
     by_kind = {
         kind: [results[hold][kind] for hold in oils]
@@ -351,12 +367,14 @@ def summary_to_dict(summary: CvSummary) -> dict:
     }
 
 
-def summary_to_json(summary: CvSummary) -> str:
-    return json.dumps(summary_to_dict(summary), sort_keys=True, indent=2) + "\n"
+def summary_to_json(summary: CvSummary, **extra) -> str:
+    """JSON text of the summary; ``extra`` adds top-level keys."""
+    return json.dumps({**summary_to_dict(summary), **extra},
+                      sort_keys=True, indent=2) + "\n"
 
 
-def save_summary(summary: CvSummary, path: str | Path) -> None:
-    Path(path).write_text(summary_to_json(summary), encoding="utf-8")
+def save_summary(summary: CvSummary, path: str | Path, **extra) -> None:
+    Path(path).write_text(summary_to_json(summary, **extra), encoding="utf-8")
 
 
 def save_fold_csv(summary: CvSummary, path: str | Path) -> None:

@@ -31,6 +31,12 @@ Convolutions are valid (no padding), stride 1.  Two implementations coexist:
   it matches the contract ops to ~1e-13 relative rather than bitwise; the
   tests pin both paths together.
 
+The engine's transforms come from ``numpy.fft``, so numpy is the package's
+only runtime dependency.  ``scipy.fft`` runs the same pocketfft code and
+gives the same bits, but importing it more than doubles the start-up of
+every ``olivenet`` command.  Conv2's transform length is padded to the
+next 11-smooth integer, as ``scipy.fft.next_fast_len`` would pad it.
+
 The batched engine has two paths:
 
 * the training step (``_batch_forward``/``_batch_backward``) runs one
@@ -48,6 +54,7 @@ Training is mini-batch gradient descent with Adam-style adaptive moments.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
@@ -56,7 +63,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft as sfft
 from numpy.lib.stride_tricks import as_strided
 
 
@@ -427,9 +433,29 @@ def build_network(hp: HyperParams, input_len: int, rng: np.random.Generator) -> 
 # mini-batch engine (FFT path)
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _next_fast_len(n: int) -> int:
+    """Smallest 11-smooth integer >= n (a product of 2, 3, 5, 7 and 11).
+
+    pocketfft is fastest at these lengths; this is the length that
+    ``scipy.fft.next_fast_len(n)`` returns.
+    """
+    if n < 1:
+        raise ValueError("transform length must be positive")
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
 def _fft_sizes(net: Network) -> tuple[int, int]:
     n1 = net.input_len                      # >= conv1 input length, no padding needed
-    n2 = sfft.next_fast_len(net.shapes["pool"])
+    n2 = _next_fast_len(net.shapes["pool"])
     return n1, n2
 
 
@@ -448,19 +474,19 @@ def _conv1_map(net: Network, fx: np.ndarray, spec: Optional[np.ndarray] = None) 
     never reaches pooling.
     """
     n1, _ = _fft_sizes(net)
-    spec = np.multiply(fx[:, None, :], np.conj(sfft.rfft(net.conv1.filters[:, 0, :], n=n1)),
+    spec = np.multiply(fx[:, None, :], np.conj(np.fft.rfft(net.conv1.filters[:, 0, :], n=n1)),
                        out=None if spec is None else spec[:fx.shape[0]])
     spec[:, :, 0] += n1 * net.conv1.biases
-    return sfft.irfft(spec, n=n1)
+    return np.fft.irfft(spec, n=n1)
 
 
 def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """conv2 over the pooled maps; returns (rfft of x2, pre-activation map)."""
     _, n2 = _fft_sizes(net)
-    fx2 = sfft.rfft(x2, n=n2)
-    spec2 = np.einsum("bjf,cjf->bcf", fx2, np.conj(sfft.rfft(net.conv2.filters, n=n2)))
+    fx2 = np.fft.rfft(x2, n=n2)
+    spec2 = np.einsum("bjf,cjf->bcf", fx2, np.conj(np.fft.rfft(net.conv2.filters, n=n2)))
     spec2[:, :, 0] += n2 * net.conv2.biases
-    return fx2, sfft.irfft(spec2, n=n2)[:, :, :net.shapes["conv2"]]
+    return fx2, np.fft.irfft(spec2, n=n2)[:, :, :net.shapes["conv2"]]
 
 
 def _dense_head(net: Network, flat: np.ndarray):
@@ -487,7 +513,7 @@ def _batch_forward(net: Network, x: Optional[np.ndarray], mode: str = "eval",
     """
     if fx is None:
         _check_batch(net, x)
-        fx = sfft.rfft(x, n=net.input_len)
+        fx = np.fft.rfft(x, n=net.input_len)
     if mode == "train" and net.hp.dropout > 0.0 and rng is None:
         raise ValueError("train-mode forward needs an rng for dropout")
     n = fx.shape[0]
@@ -523,7 +549,7 @@ def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     pred = np.empty(x.shape[0])
     spec = _spectrum_buffer(net, min(x.shape[0], INFER_CHUNK))
     for lo in range(0, x.shape[0], INFER_CHUNK):
-        v1 = _conv1_map(net, sfft.rfft(x[lo:lo + INFER_CHUNK], n=net.input_len), spec)
+        v1 = _conv1_map(net, np.fft.rfft(x[lo:lo + INFER_CHUNK], n=net.input_len), spec)
         # the 0.0 floor is the ReLU: max(0, a, b, ...) == relu(max(a, b, ...))
         x2 = np.maximum(v1[:, :, 0:lpp:pool], 0.0)
         for k in range(1, pool):
@@ -561,12 +587,12 @@ def _batch_backward(net: Network, cache, grad_pred: np.ndarray,
         gflat = gflat * keep / (1.0 - rate)
 
     gy2 = gflat.reshape(n, net.hp.filters2, l2) * (y2 > 0)
-    fg2 = sfft.rfft(gy2, n=n2)
-    d_f2 = sfft.irfft(
+    fg2 = np.fft.rfft(gy2, n=n2)
+    d_f2 = np.fft.irfft(
         np.conj(np.einsum("bjf,bcf->cjf", np.conj(fx2), fg2)), n=n2)[:, :, :k2]
     d_cb2 = gy2.sum(axis=(0, 2))
-    gx2 = sfft.irfft(
-        np.einsum("bcf,cjf->bjf", fg2, sfft.rfft(net.conv2.filters, n=n2)), n=n2)[:, :, :lp]
+    gx2 = np.fft.irfft(
+        np.einsum("bcf,cjf->bjf", fg2, np.fft.rfft(net.conv2.filters, n=n2)), n=n2)[:, :, :lp]
 
     # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing
     geff = gx2 * (x2 > 0)
@@ -578,8 +604,8 @@ def _batch_backward(net: Network, cache, grad_pred: np.ndarray,
     st = g1.strides
     gwin = as_strided(g1, (n, net.hp.filters1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
     np.put_along_axis(gwin, rel[..., None], geff[..., None], axis=3)
-    spec = np.einsum("bjf,bcf->cjf", np.conj(fx[:, None, :]), sfft.rfft(g1, n=n1))
-    d_f1 = sfft.irfft(np.conj(spec), n=n1)[:, :, :k1]
+    spec = np.einsum("bjf,bcf->cjf", np.conj(fx[:, None, :]), np.fft.rfft(g1, n=n1))
+    d_f1 = np.fft.irfft(np.conj(spec), n=n1)[:, :, :k1]
     d_cb1 = geff.sum(axis=(0, 2))
 
     return {
@@ -670,7 +696,7 @@ def train(
     _check_batch(net, spectra)
 
     n_total = spectra.shape[0]
-    fx_all = sfft.rfft(spectra, n=net.input_len)  # inputs never change; hoist the FFT
+    fx_all = np.fft.rfft(spectra, n=net.input_len)  # inputs never change; hoist the FFT
     opt = Adam(net.parameters(), hp.learning_rate)
     # Without these reused buffers every batch of the default network at
     # B=64 allocates and frees two pairs of 3 MB arrays.  Freed together at

@@ -81,6 +81,17 @@ class TestTrain:
         assert (out / "model.ocnn").read_bytes()[:5] == b"OCNN1"
         assert (out / "trace.csv").read_text().startswith("epoch,train_mse")
 
+    def test_diverged_model_is_not_saved(self, dataset_dir, tmp_path, capsys):
+        # 44 spectra make one batch per epoch: the reported loss is taken
+        # before the update and stays finite, the updated model does not
+        out = tmp_path / "model"
+        argv = ["train", "--data", dataset_dir, "--parameter", "acidity",
+                "--seed", 1, "--out", out, "--batch", 64, "--learning-rate", "1e300"]
+        argv += LOOCV_QUICK[2:-2] + ["--epochs", 1]
+        assert run(argv) == cli.EXIT_DIVERGED
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "model.ocnn").exists()
+
 
 class TestLoocv:
     def test_fold_count_matches_oils(self, loocv_dir):
@@ -169,6 +180,29 @@ class TestCompare:
         out = capsys.readouterr().out
         if "not significantly different" in out and "fewer parameters" in out:
             assert "recommendation = run2" in out
+
+    def test_recommendation_does_not_depend_on_cwd(self, dataset_dir, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(dataset_dir.parent)  # runs record a relative --data
+        for name, filters1 in (("big", "2"), ("small", "1")):
+            argv = ["loocv", "--data", dataset_dir.name, "--parameter", "acidity",
+                    "--seed", 3, "--out", tmp_path / name] + LOOCV_QUICK
+            argv[argv.index("--filters1") + 1] = filters1
+            assert run(argv) == 0
+        summary = json.loads((tmp_path / "small" / "summary.json").read_text())
+        assert (summary["num_parameters"], summary["input_len"]) == (289, 96)
+
+        argv = ["compare", "--run1", tmp_path / "big", "--run2", tmp_path / "small"]
+        capsys.readouterr()
+        assert run(argv) == 0
+        here = capsys.readouterr().out
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == here
+        assert "recommendation = run2 (means not significantly different; " \
+               "fewer parameters: 289 vs 305)" in here
 
     def test_mismatched_oil_sets_exit_2(self, dataset_dir, loocv_dir, tmp_path):
         out = tmp_path / "k270b"

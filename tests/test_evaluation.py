@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,20 +79,21 @@ class TestFoldStructure:
     def test_validation_never_in_training(self, bundled_records, monkeypatch):
         ds = tiny_dataset(bundled_records[:4], reps=2)
         audited = []
-        orig = emod._run_fold
+        orig = emod.train
 
-        def audit(args):
-            hold, x_tr, y_tr, x_va, y_va = args[:5]
-            audited.append((hold, x_tr.shape[0], x_va.shape[0]))
-            return orig(args)
+        def audit(net, x_tr, y_tr, *args, validation, **kwargs):
+            x_va = validation[0]
+            shared = sum((x_tr == row).all(axis=1).any() for row in x_va)
+            audited.append((x_tr.shape[0], x_va.shape[0], shared))
+            return orig(net, x_tr, y_tr, *args, validation=validation, **kwargs)
 
-        monkeypatch.setattr(emod, "_run_fold", audit)
+        monkeypatch.setattr(emod, "train", audit)
         hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 2,
                             "dense_sizes": QUICK_HP.dense_sizes})
-        loocv_checkpoint_runs(ds, ParameterId.ACIDITY, hp, seed=1)
-        # disjoint by construction: every fold trains on (n_oil-1)*R spectra
-        assert sorted(h for h, _, _ in audited) == sorted(r.oil_id for r in ds.records)
-        assert all(ntr == 6 and nva == 2 for _, ntr, nva in audited)
+        run, _ = loocv_checkpoint_runs(ds, ParameterId.ACIDITY, hp, seed=1)
+        # disjoint: every fold trains on (n_oil-1)*R spectra, none held out
+        assert [f.held_out_oil for f in run.per_fold] == sorted(r.oil_id for r in ds.records)
+        assert audited == [(6, 2, 0)] * 4
 
     def test_id_audit_on_design_matrices(self, bundled_records):
         ds = tiny_dataset(bundled_records[:4], reps=2)
@@ -139,6 +142,25 @@ class TestSeedPairsComparison:
                                 runs[s + 1].fold_maes_val())
             accepted += not r.reject_equal_means
         assert accepted >= 9
+
+
+class TestFoldMemory:
+    def test_fold_matrices_built_on_demand(self, bundled_records):
+        # 22 folds at epochs=0: only scoring runs.  Live at the peak are the
+        # full matrix, one fold's training copy and its spectrum, and the
+        # scoring pass's working set: about 5.4 training copies here.
+        # Building every fold's copy up front holds 22 of them.
+        ds = tiny_dataset(bundled_records, pixels=1024, reps=8)
+        hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 0,
+                            "dense_sizes": QUICK_HP.dense_sizes})
+        fold_bytes = (ds.n_oil - 1) * 8 * 1024 * 8
+        tracemalloc.start()
+        try:
+            loocv_checkpoint_runs(ds, ParameterId.ACIDITY, hp, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * fold_bytes
 
 
 class TestDeterminismAndParallelism:
