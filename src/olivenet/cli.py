@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -98,31 +99,31 @@ def _load_dataset_dir(dataset_dir: Path) -> dmod.Dataset:
     )
 
 
+#: Help text of the hyperparameter flags that have one.
+_HP_HELP = {"epochs": f"default {nn.HyperParams.epochs} runs at desk scale; "
+                      "the full-scale reference value is 10000"}
+
+
+def _hp_flags():
+    """(name, default) of each hyperparameter flag; dense_sizes gives two."""
+    for f in dataclasses.fields(nn.HyperParams):
+        if f.name == "dense_sizes":
+            yield from zip(("dense1", "dense2"), f.default)
+        else:
+            yield f.name, f.default
+
+
 def _hp_from_args(args) -> nn.HyperParams:
-    return nn.HyperParams(
-        filters1=args.filters1, filters2=args.filters2,
-        ksize1=args.ksize1, ksize2=args.ksize2, pool=args.pool,
-        dropout=args.dropout, epochs=args.epochs, batch=args.batch,
-        learning_rate=args.learning_rate,
-        dense_sizes=(args.dense1, args.dense2),
-    )
+    values = {name: getattr(args, name) for name, _ in _hp_flags()}
+    values["dense_sizes"] = (values.pop("dense1"), values.pop("dense2"))
+    return nn.HyperParams(**values)
 
 
-def _add_hp_flags(p: argparse.ArgumentParser, epochs_default: int = 500) -> None:
+def _add_hp_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("hyperparameters")
-    g.add_argument("--filters1", type=int, default=6)
-    g.add_argument("--filters2", type=int, default=4)
-    g.add_argument("--ksize1", type=int, default=40)
-    g.add_argument("--ksize2", type=int, default=20)
-    g.add_argument("--pool", type=int, default=8)
-    g.add_argument("--dropout", type=float, default=0.5)
-    g.add_argument("--epochs", type=int, default=epochs_default,
-                   help=f"default {epochs_default} runs at desk scale; "
-                        "the full-scale reference value is 10000")
-    g.add_argument("--batch", type=int, default=64)
-    g.add_argument("--learning-rate", type=float, default=2e-3)
-    g.add_argument("--dense1", type=int, default=16)
-    g.add_argument("--dense2", type=int, default=8)
+    for name, default in _hp_flags():
+        g.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
+                       help=_HP_HELP.get(name))
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +163,16 @@ def cmd_train(args) -> int:
     parameter = dmod.ParameterId(args.parameter)
     hp = _hp_from_args(args)
     dataset = dmod.filter_for_parameter(_load_dataset_dir(dataset_dir), parameter)
-    x, y, _ = emod._design_matrices(dataset, parameter)
+    x, y, _ = emod.design_matrices(dataset, parameter)
 
     rng = derive_rng(args.seed, "train", parameter.value)
     net = nn.build_network(hp, x.shape[1], rng)
     trace = nn.train(net, x, y, hp, rng)
     # the last batch's loss is taken before its update, so a finite trace
     # does not prove a usable model: score the training spectra as well
-    finite = np.isfinite(nn.forward(net, x)).all() and all(
-        np.isfinite(v).all() for v in net.parameters().values())
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(nn.forward(net, x)).all() and all(
+            np.isfinite(v).all() for v in net.parameters().values())
     if not finite:
         raise DivergedModelError("non-finite parameters or predictions after training")
 

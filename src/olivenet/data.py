@@ -223,10 +223,6 @@ class Dataset:
                 return r
         raise KeyError(oil_id)
 
-    def intensity_matrix(self) -> np.ndarray:
-        """Stack all spectra into an (N, P) array, dataset order."""
-        return np.stack([s.intensities for s in self.spectra])
-
 
 # ---------------------------------------------------------------------------
 # operations

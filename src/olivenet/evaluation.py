@@ -126,7 +126,7 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
 # folds
 # ---------------------------------------------------------------------------
 
-def _design_matrices(dataset: Dataset, parameter: ParameterId):
+def design_matrices(dataset: Dataset, parameter: ParameterId):
     """Normalized (N, P) matrix, per-spectrum targets and oil ids."""
     rows, targets, ids = [], [], []
     for s in dataset.spectra:
@@ -174,8 +174,9 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed, val_every):
     out = {}
     for kind in CHECKPOINT_KINDS:
         net.set_parameters(snapshots[kind][1])
-        pred_tr = forward(net, x_tr)
-        pred_va = forward(net, x_va)
+        with np.errstate(over="ignore", invalid="ignore"):  # FoldResult rejects non-finite
+            pred_tr = forward(net, x_tr)
+            pred_va = forward(net, x_va)
         out[kind] = FoldResult(
             held_out_oil=hold,
             true_value=float(y_va[0]),
@@ -234,7 +235,7 @@ def loocv_checkpoint_runs(
     """
     if dataset.n_oil < 3:
         raise ValueError("leave-one-out needs at least 3 oils")
-    fold_args = (*_design_matrices(dataset, parameter), hp, seed, val_every)
+    fold_args = (*design_matrices(dataset, parameter), hp, seed, val_every)
     oils = sorted({r.oil_id for r in dataset.records})
 
     if jobs > 1:

@@ -39,12 +39,17 @@ next 11-smooth integer, as ``scipy.fft.next_fast_len`` would pad it.
 
 The batched engine has two paths:
 
-* the training step (``_batch_forward``/``_batch_backward``) runs one
-  mini-batch at a time.  Its forward pass records the first-occurrence
-  argmax of every pool window and the other values the backward pass needs
-  in a cache;
-* the inference pass (``_infer``), behind ``forward`` in eval mode and the
-  validation loss in ``train``, keeps no cache.  It pools with a running
+* the training step (``_train_step``) runs one mini-batch: the forward
+  pass, the MSE gradient and the backward pass in one scope, so what the
+  backward pass needs, such as the first-occurrence argmax of every pool
+  window, stays in plain locals.  It writes each of the two buffers that
+  ``train`` reuses across batches twice: the conv1 map goes into ``g1``,
+  which holds the conv1 map gradient only after pooling, and the spectrum
+  of that gradient into ``spec``, dead once the map exists.  Freshly
+  allocated, these conv1-map-sized arrays would be handed back to the OS by
+  glibc and faulted in again at every batch;
+* the inference pass (``_infer``), behind ``forward`` and the validation
+  loss in ``train``, keeps no cache.  It pools with a running
   ``np.maximum`` over the ``pool`` offsets, with no argmax, and walks its
   input ``INFER_CHUNK`` rows at a time, so its working set does not grow
   with the batch: scoring 420 spectra needs no more memory than scoring 64.
@@ -58,7 +63,7 @@ import functools
 import io
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -177,18 +182,13 @@ class HyperParams:
             raise ValueError("learning rate must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "filters1": self.filters1, "filters2": self.filters2,
-            "ksize1": self.ksize1, "ksize2": self.ksize2, "pool": self.pool,
-            "dropout": self.dropout, "epochs": self.epochs, "batch": self.batch,
-            "learning_rate": self.learning_rate,
-            "dense_sizes": list(self.dense_sizes),
-        }
+        return {**asdict(self), "dense_sizes": list(self.dense_sizes)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperParams":
         d = dict(d)
-        d["dense_sizes"] = tuple(d.get("dense_sizes", (16, 8)))
+        if "dense_sizes" in d:
+            d["dense_sizes"] = tuple(d["dense_sizes"])
         return cls(**d)
 
 
@@ -196,9 +196,9 @@ class HyperParams:
 class Network:
     """Parameter container for the fixed conv-pool-conv-dense topology.
 
-    Dropout randomness is not stored here: train-mode forward passes draw
-    masks from the generator handed to ``train``/``forward``, which keeps a
-    run's determinism in one place (the run seed).
+    Dropout randomness is not stored here: training steps draw masks from
+    the generator handed to ``train``, which keeps a run's determinism in
+    one place (the run seed).
     """
 
     conv1: Conv1DLayer
@@ -465,19 +465,20 @@ def _spectrum_buffer(net: Network, rows: int) -> np.ndarray:
     return np.empty((rows, net.hp.filters1, n1 // 2 + 1), complex)
 
 
-def _conv1_map(net: Network, fx: np.ndarray, spec: Optional[np.ndarray] = None) -> np.ndarray:
+def _conv1_map(net: Network, fx: np.ndarray, spec: np.ndarray,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """Raw conv1 map (B, C1, n1) from the input spectra ``fx`` (B, n1//2 + 1).
 
-    ``spec`` is an optional buffer with at least B rows for the product of
-    the spectra.  Biases enter through the DC bin.  Only the first
-    pool*floor(L1/pool) positions are used: the trailing partial window
-    never reaches pooling.
+    ``spec`` is a buffer with at least B rows for the product of the
+    spectra; ``out``, if given, receives the map.  Biases enter through the
+    DC bin.  Only the first pool*floor(L1/pool) positions are used: the
+    trailing partial window never reaches pooling.
     """
     n1, _ = _fft_sizes(net)
     spec = np.multiply(fx[:, None, :], np.conj(np.fft.rfft(net.conv1.filters[:, 0, :], n=n1)),
-                       out=None if spec is None else spec[:fx.shape[0]])
+                       out=spec[:fx.shape[0]])
     spec[:, :, 0] += n1 * net.conv1.biases
-    return np.fft.irfft(spec, n=n1)
+    return np.fft.irfft(spec, n=n1, out=out)
 
 
 def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -503,44 +504,6 @@ def _check_batch(net: Network, x: np.ndarray) -> None:
         raise ShapeError(f"batch shape {x.shape} does not match input length {net.input_len}")
 
 
-def _batch_forward(net: Network, x: Optional[np.ndarray], mode: str = "eval",
-                   rng: Optional[np.random.Generator] = None,
-                   fx: Optional[np.ndarray] = None, spec: Optional[np.ndarray] = None):
-    """Training-step forward over a batch (B, P); returns (pred, cache).
-
-    ``fx`` is the batch's precomputed rfft; when it is given, ``x`` is not
-    read and may be None.  ``spec`` is passed on to ``_conv1_map``.
-    """
-    if fx is None:
-        _check_batch(net, x)
-        fx = np.fft.rfft(x, n=net.input_len)
-    if mode == "train" and net.hp.dropout > 0.0 and rng is None:
-        raise ValueError("train-mode forward needs an rng for dropout")
-    n = fx.shape[0]
-    lp, pool = net.shapes["pool"], net.hp.pool
-
-    v1 = _conv1_map(net, fx, spec)
-    st = v1.strides
-    win = as_strided(v1, (n, net.hp.filters1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
-    rel = win.argmax(axis=3)
-    x2 = np.take_along_axis(win, rel[..., None], axis=3)[..., 0]
-    np.maximum(x2, 0.0, out=x2)
-
-    fx2, y2 = _conv2(net, x2)
-    flat = np.maximum(y2, 0.0).reshape(n, -1)
-
-    rate = net.hp.dropout
-    if mode == "train" and rate > 0.0:
-        keep = rng.random(flat.shape) >= rate
-        fdrop = flat * keep / (1.0 - rate)
-    else:
-        keep, fdrop = None, flat
-    pred, z1, a1, z2, a2 = _dense_head(net, fdrop)
-
-    cache = (fx, rel, x2, fx2, y2, keep, fdrop, z1, a1, z2, a2)
-    return pred, cache
-
-
 def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time."""
     _check_batch(net, x)
@@ -559,21 +522,39 @@ def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     return pred
 
 
-def _batch_backward(net: Network, cache, grad_pred: np.ndarray,
-                    g1: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
-    """Gradients of all parameters for a batch; keys match net.parameters().
+def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
+                rng: Optional[np.random.Generator],
+                spec: Optional[np.ndarray] = None, g1: Optional[np.ndarray] = None):
+    """One mini-batch step; returns (pred, grads), grads keyed like net.parameters().
 
-    ``g1`` is an optional (>= B, C1, n1) buffer for the conv1 map gradient.
+    ``fx`` is the batch's rfft (B, n1//2 + 1) and ``y`` its targets; the loss
+    is their MSE.  ``rng`` draws the dropout mask, the step's only draw, and
+    may be None when dropout is off.  ``spec`` (>= B, C1, n1//2 + 1) and
+    ``g1`` (>= B, C1, n1) are reusable buffers, allocated when not given.
     """
-    fx, rel, x2, fx2, y2, keep, fdrop, z1, a1, z2, a2 = cache
-    n = grad_pred.shape[0]
-    s = net.shapes
-    lp, l2 = s["pool"], s["conv2"]
-    pool, k1, k2 = net.hp.pool, net.hp.ksize1, net.hp.ksize2
+    n = fx.shape[0]
+    lp, l2 = net.shapes["pool"], net.shapes["conv2"]
+    c1, pool, k1, k2 = net.hp.filters1, net.hp.pool, net.hp.ksize1, net.hp.ksize2
     n1, n2 = _fft_sizes(net)
     rate = net.hp.dropout
+    spec = _spectrum_buffer(net, n) if spec is None else spec[:n]
+    g1 = np.empty((n, c1, n1)) if g1 is None else g1[:n]
 
-    g3 = grad_pred[:, None]
+    # the conv1 map lives in g1, whose gradient role starts after pooling
+    v1 = _conv1_map(net, fx, spec, out=g1)
+    st = v1.strides
+    win = as_strided(v1, (n, c1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
+    rel = win.argmax(axis=3)
+    x2 = np.take_along_axis(win, rel[..., None], axis=3)[..., 0]
+    np.maximum(x2, 0.0, out=x2)
+
+    fx2, y2 = _conv2(net, x2)
+    flat = np.maximum(y2, 0.0).reshape(n, -1)
+    keep = rng.random(flat.shape) >= rate if rate > 0.0 else None
+    fdrop = flat if keep is None else flat * keep / (1.0 - rate)
+    pred, z1, a1, z2, a2 = _dense_head(net, fdrop)
+
+    g3 = (2.0 * (pred - y) / n)[:, None]
     d_wout = g3.T @ a2
     d_bout = g3.sum(axis=0)
     gd2 = (g3 @ net.output.weights) * (z2 > 0)
@@ -596,19 +577,14 @@ def _batch_backward(net: Network, cache, grad_pred: np.ndarray,
 
     # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing
     geff = gx2 * (x2 > 0)
-    if g1 is None:
-        g1 = np.zeros((n, net.hp.filters1, n1))
-    else:
-        g1 = g1[:n]
-        g1.fill(0.0)
-    st = g1.strides
-    gwin = as_strided(g1, (n, net.hp.filters1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
-    np.put_along_axis(gwin, rel[..., None], geff[..., None], axis=3)
-    spec = np.einsum("bjf,bcf->cjf", np.conj(fx[:, None, :]), np.fft.rfft(g1, n=n1))
-    d_f1 = np.fft.irfft(np.conj(spec), n=n1)[:, :, :k1]
+    g1.fill(0.0)  # win now views the zeroed conv1 map gradient
+    np.put_along_axis(win, rel[..., None], geff[..., None], axis=3)
+    fg1 = np.fft.rfft(g1, n=n1, out=spec)
+    d_f1 = np.fft.irfft(
+        np.conj(np.einsum("bjf,bcf->cjf", np.conj(fx[:, None, :]), fg1)), n=n1)[:, :, :k1]
     d_cb1 = geff.sum(axis=(0, 2))
 
-    return {
+    return pred, {
         "conv1.filters": d_f1, "conv1.biases": d_cb1,
         "conv2.filters": d_f2, "conv2.biases": d_cb2,
         "dense1.weights": d_w1, "dense1.biases": d_b1,
@@ -617,18 +593,14 @@ def _batch_backward(net: Network, cache, grad_pred: np.ndarray,
     }
 
 
-def forward(net: Network, x: np.ndarray, mode: str = "eval",
-            rng: Optional[np.random.Generator] = None):
+def forward(net: Network, x: np.ndarray):
     """Predict for one normalized spectrum (P,) or a batch (B, P).
 
-    Eval mode is deterministic; train mode draws dropout masks from rng.
+    Deterministic: dropout is the identity outside training.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError("mode must be 'train' or 'eval'")
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    batch = x[None, :] if single else x
-    pred = _batch_forward(net, batch, mode, rng)[0] if mode == "train" else _infer(net, batch)
+    pred = _infer(net, x[None, :] if single else x)
     return float(pred[0]) if single else pred
 
 
@@ -699,9 +671,9 @@ def train(
     fx_all = np.fft.rfft(spectra, n=net.input_len)  # inputs never change; hoist the FFT
     opt = Adam(net.parameters(), hp.learning_rate)
     # Without these reused buffers every batch of the default network at
-    # B=64 allocates and frees two pairs of 3 MB arrays.  Freed together at
-    # the top of the heap they exceed glibc's trim threshold, go back to the
-    # OS and are faulted in again by the next batch.
+    # B=64 allocates and frees 3 MB arrays.  Freed together at the top of
+    # the heap they exceed glibc's trim threshold, go back to the OS and are
+    # faulted in again by the next batch.
     rows = min(hp.batch, n_total)
     spec, g1 = _spectrum_buffer(net, rows), np.empty((rows, net.hp.filters1, net.input_len))
     trace: list[EpochRecord] = []
@@ -709,18 +681,22 @@ def train(
     for epoch in range(hp.epochs):
         order = rng.permutation(n_total)
         sq_sum = 0.0
-        for lo in range(0, n_total, hp.batch):
-            idx = order[lo:lo + hp.batch]
-            pred, cache = _batch_forward(net, None, "train", rng, fx_all[idx], spec)
-            res = pred - targets[idx]
-            sq_sum += float(res @ res)
-            opt.step(_batch_backward(net, cache, 2.0 * res / idx.size, g1))
+        val_mse = None
+        # A diverging run overflows here.  The loss check below reports it,
+        # and callers check the trained model's parameters and predictions.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, n_total, hp.batch):
+                idx = order[lo:lo + hp.batch]
+                y = targets[idx]
+                pred, grads = _train_step(net, fx_all[idx], y, rng, spec, g1)
+                res = pred - y
+                sq_sum += float(res @ res)
+                opt.step(grads)
+            if validation is not None and ((epoch + 1) % val_every == 0 or epoch == hp.epochs - 1):
+                val_mse, _ = mse_loss(_infer(net, validation[0]), validation[1])
         train_mse = sq_sum / n_total
         if not np.isfinite(train_mse):
             raise DivergenceError(epoch)
-        val_mse = None
-        if validation is not None and ((epoch + 1) % val_every == 0 or epoch == hp.epochs - 1):
-            val_mse, _ = mse_loss(_infer(net, validation[0]), validation[1])
         trace.append(EpochRecord(epoch, train_mse, val_mse))
         for cb in callbacks:
             cb(epoch, train_mse, val_mse, net)

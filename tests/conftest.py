@@ -36,6 +36,11 @@ def small_dataset(bundled_records):
     return synth.generate_dataset(bundled_records[:4], 395, 3, cfg, grid)
 
 
+def train_step(net, xs, ys, rng=None):
+    """``nn._train_step`` on raw spectra (B, P): (pred, MSE gradients)."""
+    return nn._train_step(net, np.fft.rfft(xs, n=net.input_len), ys, rng)
+
+
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences of a scalar function w.r.t an array in place."""
     g = np.zeros_like(x, dtype=float)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import finite_difference
+from conftest import finite_difference, train_step
 from olivenet import data as dmod
 from olivenet import evaluation as emod
 from olivenet import nn
@@ -126,12 +126,9 @@ def test_criterion_01_gradient_correctness():
         ys = rng.standard_normal(3)
 
         def net_loss():
-            pred, _ = nn._batch_forward(net, xs, "eval")
-            return nn.mse_loss(pred, ys)[0]
+            return nn.mse_loss(train_step(net, xs, ys)[0], ys)[0]
 
-        pred, cache = nn._batch_forward(net, xs, "eval")
-        _, gl = nn.mse_loss(pred, ys)
-        grads = nn._batch_backward(net, cache, gl)
+        _, grads = train_step(net, xs, ys)
         for key, param in net.parameters().items():
             np.testing.assert_allclose(
                 grads[key], finite_difference(net_loss, param),
@@ -213,7 +210,7 @@ def test_criterion_05_loocv_partition_and_determinism(full_dataset):
     hp = nn.HyperParams(epochs=10)
     with criterion(5, "22 folds partition cleanly; seed-7 runs byte-identical "
                       "at epochs=10", budget_s=60):
-        x, y, ids = emod._design_matrices(full_dataset, ParameterId.ACIDITY)
+        x, y, ids = emod.design_matrices(full_dataset, ParameterId.ACIDITY)
         oils = sorted({r.oil_id for r in full_dataset.records})
         assert len(oils) == 22
         seen_val = []

@@ -6,6 +6,7 @@ import pytest
 
 from olivenet import cli
 from olivenet import data as dmod
+from olivenet import nn
 
 
 def run(argv):
@@ -81,6 +82,7 @@ class TestTrain:
         assert (out / "model.ocnn").read_bytes()[:5] == b"OCNN1"
         assert (out / "trace.csv").read_text().startswith("epoch,train_mse")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverged_model_is_not_saved(self, dataset_dir, tmp_path, capsys):
         # 44 spectra make one batch per epoch: the reported loss is taken
         # before the update and stays finite, the updated model does not
@@ -123,7 +125,7 @@ class TestLoocv:
         labels = dmod.load_labels(dataset_dir / "labels.csv")
         ds = dmod.load_spectra(dataset_dir / "spectra.csv",
                                dataset_dir / "grid.txt", labels)
-        x, y, ids = emod._design_matrices(ds, dmod.ParameterId.ACIDITY)
+        x, y, ids = emod.design_matrices(ds, dmod.ParameterId.ACIDITY)
         hold = summary["folds"][0]["held_out_oil"]
         hp = nn.HyperParams(filters1=2, filters2=2, ksize1=9, ksize2=3, pool=4,
                             dropout=0.0, epochs=0, dense_sizes=(6, 3))
@@ -132,6 +134,7 @@ class TestLoocv:
         untrained = emod.mae(nn.forward(net, x[va]), y[va])
         assert summary["folds"][0]["mae_val"] == pytest.approx(untrained, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("epochs, jobs", [(1, 1), (3, 2)])
     def test_diverged_run_exits_4(self, dataset_dir, tmp_path, capsys, epochs, jobs):
         # 42 training spectra make one batch per epoch.  With 1 epoch the
@@ -247,6 +250,14 @@ class TestReport:
     def test_incomplete_dir_skipped_with_warning(self, loocv_dir, tmp_path, capsys):
         assert run(["report", tmp_path / "ghost", loocv_dir]) == 0
         assert "skipping incomplete" in capsys.readouterr().err
+
+
+class TestHyperparameterFlags:
+    @pytest.mark.parametrize("command", ["train", "loocv"])
+    def test_defaults_equal_hyperparams(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--data", "d", "--parameter", "acidity", "--out", "o"])
+        assert cli._hp_from_args(args) == nn.HyperParams()
 
 
 class TestEntryPoint:

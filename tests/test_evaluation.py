@@ -73,7 +73,7 @@ class TestFoldStructure:
             assert held == sorted(r.oil_id for r in ds.records)
             assert all(len(f.predictions) == 2 for f in run.per_fold)
         # each fold trains on the remaining 2 oils x 2 reps = 4 spectra
-        _, _, ids = emod._design_matrices(ds, ParameterId.ACIDITY)
+        _, _, ids = emod.design_matrices(ds, ParameterId.ACIDITY)
         assert all((ids != hold).sum() == 4 for hold in held)
 
     def test_validation_never_in_training(self, bundled_records, monkeypatch):
@@ -97,7 +97,7 @@ class TestFoldStructure:
 
     def test_id_audit_on_design_matrices(self, bundled_records):
         ds = tiny_dataset(bundled_records[:4], reps=2)
-        x, y, ids = emod._design_matrices(ds, ParameterId.ACIDITY)
+        x, y, ids = emod.design_matrices(ds, ParameterId.ACIDITY)
         for hold in sorted({r.oil_id for r in ds.records}):
             assert not set(ids[ids == hold]) & set(ids[ids != hold])
 

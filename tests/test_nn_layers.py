@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import TOY_HP, TOY_P, finite_difference
+from conftest import TOY_HP, TOY_P, finite_difference, train_step
 from olivenet import nn
 from olivenet.nn import (
     ArchitectureError,
@@ -343,10 +345,10 @@ class TestNetworkForward:
     @pytest.mark.parametrize("hp, p", [(TOY_HP, TOY_P), (HyperParams(), 1024)])
     @pytest.mark.parametrize("b", [1, 2 * nn.INFER_CHUNK + 1])
     def test_inference_pass_matches_training_step(self, hp, p, b, rng):
-        # b = 2*chunk + 1 leaves a one-row last chunk
-        net = build_network(hp, p, np.random.default_rng(31))
+        # b = 2*chunk + 1 leaves a one-row last chunk; no dropout, as in eval
+        net = build_network(replace(hp, dropout=0.0), p, np.random.default_rng(31))
         xs = rng.standard_normal((b, p))
-        step, _ = nn._batch_forward(net, xs, "eval")
+        step, _ = train_step(net, xs, np.zeros(b))
         np.testing.assert_allclose(forward(net, xs), step, rtol=1e-12,
                                    atol=1e-14 * np.abs(step).max())
         assert forward(net, xs[0]) == pytest.approx(step[0], rel=1e-12, abs=1e-14)
@@ -366,12 +368,9 @@ class TestCompositeGradient:
         ys = rng.standard_normal(3)
 
         def loss():
-            pred, _ = nn._batch_forward(toy_net, xs, "eval")
-            return mse_loss(pred, ys)[0]
+            return mse_loss(train_step(toy_net, xs, ys)[0], ys)[0]
 
-        pred, cache = nn._batch_forward(toy_net, xs, "eval")
-        _, gl = mse_loss(pred, ys)
-        grads = nn._batch_backward(toy_net, cache, gl)
+        _, grads = train_step(toy_net, xs, ys)
         for key, param in toy_net.parameters().items():
             fd = finite_difference(loss, param)
             np.testing.assert_allclose(
@@ -389,12 +388,8 @@ class TestCompositeGradient:
         net.conv1.biases[:] = [0.5, -0.5, 0.1]
         xs = rng.standard_normal((3, TOY_P))
         ys = rng.standard_normal(3)
-        pred, cache = nn._batch_forward(net, xs, "eval")
-        rel, x2 = cache[1], cache[2]
-        assert (x2[:, 0] == 0.5).all() and (rel[:, 0] == 0).all()  # first of the tie
-        assert (x2[:, 1] == 0.0).all()
+        pred, grads = train_step(net, xs, ys)
         _, gl = mse_loss(pred, ys)
-        grads = nn._batch_backward(net, cache, gl)
 
         ref = {k: np.zeros_like(v) for k, v in net.parameters().items()}
 
@@ -402,13 +397,16 @@ class TestCompositeGradient:
             ref[prefix + (".filters" if prefix.startswith("conv") else ".weights")] += gw
             ref[prefix + ".biases"] += gb
 
-        for x, g in zip(xs, gl):
+        for x, g, p in zip(xs, gl, pred):
             h1 = conv1d_forward(x, net.conv1)
             pooled, idx = maxpool_forward(np.maximum(h1, 0.0), hp.pool)
+            assert (pooled[0] == 0.5).all() and (pooled[1] == 0.0).all()
+            assert (idx[0] % hp.pool == 0).all()  # ties go to the first occurrence
             h2 = conv1d_forward(pooled, net.conv2)
             flat = np.maximum(h2, 0.0).reshape(-1)
             a1 = dense_forward(flat, net.dense1)
             a2 = dense_forward(a1, net.dense2)
+            assert p == pytest.approx(dense_forward(a2, net.output)[0], rel=1e-10, abs=1e-12)
             ga2, gw, gb = dense_backward(np.array([g]), a2, net.output)
             add("output", gw, gb)
             ga1, gw, gb = dense_backward(ga2, a1, net.dense2)
@@ -426,15 +424,16 @@ class TestCompositeGradient:
                                        atol=1e-10 * np.abs(want).max(), err_msg=key)
 
     def test_train_mode_dropout_gradient_frozen_mask(self, rng):
-        # replay the engine's train-mode pass with its own mask frozen, so
-        # the stochastic map becomes differentiable and checkable by FD
+        # replay the engine's training step with its own mask frozen, so
+        # the stochastic map becomes differentiable and checkable by FD;
+        # the mask is the step's only draw, so a twin rng rebuilds it
         hp = HyperParams(filters1=2, filters2=3, ksize1=5, ksize2=3, pool=2,
                          dropout=0.5, dense_sizes=(6, 4))
         net = build_network(hp, TOY_P, np.random.default_rng(9))
         xs = rng.standard_normal((3, TOY_P))
         ys = rng.standard_normal(3)
-        pred, cache = nn._batch_forward(net, xs, "train", np.random.default_rng(77))
-        keep = cache[5]
+        pred, grads = train_step(net, xs, ys, np.random.default_rng(77))
+        keep = np.random.default_rng(77).random((3, net.shapes["flatten"])) >= hp.dropout
         scale = keep / (1.0 - hp.dropout)
 
         def frozen_loss():
@@ -449,9 +448,8 @@ class TestCompositeGradient:
                 preds.append(dense_forward(h, net.output)[0])
             return mse_loss(np.array(preds), ys)[0]
 
-        loss0, gl = mse_loss(pred, ys)
+        loss0, _ = mse_loss(pred, ys)
         assert abs(frozen_loss() - loss0) <= 1e-10 * max(1.0, abs(loss0))
-        grads = nn._batch_backward(net, cache, gl)
         for key in ("dense1.weights", "dense2.biases", "conv1.filters",
                     "conv2.biases", "output.weights"):
             param = net.parameters()[key]
@@ -465,11 +463,10 @@ class TestCompositeGradient:
             net = build_network(TOY_HP, TOY_P, np.random.default_rng(100 + trial))
             x = rng.standard_normal((1, TOY_P))
             y = rng.standard_normal(1)
-            pred, cache = nn._batch_forward(net, x, "eval")
-            before, gl = mse_loss(pred, y)
-            grads = nn._batch_backward(net, cache, gl)
+            pred, grads = train_step(net, x, y)
+            before, _ = mse_loss(pred, y)
             for k, v in net.parameters().items():
                 v -= 1e-4 * grads[k]
-            after, _ = mse_loss(nn._batch_forward(net, x, "eval")[0], y)
+            after, _ = mse_loss(train_step(net, x, y)[0], y)
             wins += after < before
         assert wins >= 38  # 95%+

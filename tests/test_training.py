@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import TOY_HP, TOY_P
+from conftest import TOY_HP, TOY_P, train_step
 from olivenet import nn
 from olivenet.nn import (
     DivergenceError,
@@ -91,6 +91,7 @@ class TestTrain:
         with_val = [r.epoch for r in trace if r.val_mse is not None]
         assert with_val == [9, 19, 24]  # every 10th and the final epoch
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_error_carries_epoch(self, rng):
         # Adam steps are bounded by lr, so overflow needs an absurd rate
         net = build_network(TOY_HP, TOY_P, np.random.default_rng(3))
@@ -116,8 +117,8 @@ class TestTrain:
             order = replay.permutation(len(x))
             for lo in range(0, len(x), hp.batch):
                 idx = order[lo:lo + hp.batch]
-                pred, cache = nn._batch_forward(ref, x[idx], "train", replay)
-                opt.step(nn._batch_backward(ref, cache, 2.0 * (pred - y[idx]) / idx.size))
+                _, grads = train_step(ref, x[idx], y[idx], replay)
+                opt.step(grads)
         for k, v in net.parameters().items():
             assert np.array_equal(v, ref.parameters()[k]), k
 
