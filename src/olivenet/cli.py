@@ -250,14 +250,18 @@ def cmd_compare(args) -> int:
     if set(maes1) != set(maes2):
         raise InputError("runs cover different oil sets; comparison undefined")
     oils = sorted(maes1)
-    report = smod.compare_configs([maes1[o] for o in oils], [maes2[o] for o in oils],
+    runs = [("run1", dir1, [maes1[o] for o in oils]), ("run2", dir2, [maes2[o] for o in oils])]
+    # The one-sided test asks whether sample 1 has the higher mean MAE, so the
+    # higher-mean run goes first, whatever the argument order.
+    worse, better = sorted(runs, key=lambda run: -np.mean(run[2]))
+    report = smod.compare_configs(worse[2], better[2],
                                   alpha=args.alpha, two_sided=args.two_sided)
 
-    text = smod.report_text(report)
+    text = (f"sample_1 = {worse[0]} {worse[1]} (higher mean MAE)\n"
+            f"sample_2 = {better[0]} {better[1]}\n") + smod.report_text(report)
     n1, n2 = _run_param_count(dir1), _run_param_count(dir2)
     if report.reject_equal_means:
-        rec = "run1" if report.t_value < 0 else "run2"
-        text += f"recommendation = {rec} (significantly lower mean MAE)\n"
+        text += f"recommendation = {better[0]} (significantly lower mean MAE)\n"
     elif n1 is not None and n2 is not None and n1 != n2:
         rec = "run1" if n1 < n2 else "run2"
         text += (f"recommendation = {rec} (means not significantly different; "

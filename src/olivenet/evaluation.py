@@ -8,6 +8,13 @@ run whose mean train/validation MAE agree best (smallest relative absolute
 difference) is selected.  That guards against the classic leave-one-out
 failure mode where a network scores well on the held-out oil by memorizing
 label structure while train and validation errors drift apart.
+
+The best-training-loss snapshot is taken after the epoch's updates, while
+the loss it is ranked by is the sample-weighted mean of the epoch's batch
+losses, each measured before its own update.  The snapshot is kept that
+way on purpose: scoring the parameters after the last update would cost a
+full extra forward pass over the training rows every epoch, and the
+checkpoint's train MAE is measured afresh on those very parameters anyway.
 """
 
 from __future__ import annotations
@@ -100,9 +107,6 @@ class CvSummary:
 
     def fold_maes_val(self) -> np.ndarray:
         return np.array([f.mae_val for f in self.per_fold])
-
-    def fold_maes_train(self) -> np.ndarray:
-        return np.array([f.mae_train for f in self.per_fold])
 
     def leakage_ratio(self) -> float:
         """Validation-to-train mean MAE ratio; large values suggest leakage."""
@@ -278,19 +282,17 @@ def select_checkpoint(best_val_run: CvSummary, best_train_run: CvSummary) -> CvS
 def error_percentages(
     summary: CvSummary,
     records: Sequence[OilRecord],
-    exp_errors: Optional[dict[str, float]] = None,
 ) -> tuple[float, Optional[float]]:
     """Average prediction error and average label error, both in percent.
 
     The first is each fold's validation MAE divided by the oil's true value,
     averaged over oils; the second is the laboratory's experimental error
     divided by the true value, averaged the same way.  Experimental errors
-    come from ``exp_errors`` or the records' ``exp_error`` field; when any
-    oil lacks one, the label error is reported as unavailable (None).
+    come from the records' ``exp_error`` field; when any oil lacks one, the
+    label error is reported as unavailable (None).
     """
     by_id = {r.oil_id: r for r in records}
-    if exp_errors is None:
-        exp_errors = {r.oil_id: r.exp_error for r in records if r.exp_error is not None}
+    exp_errors = {r.oil_id: r.exp_error for r in records if r.exp_error is not None}
 
     ratios = []
     skipped = 0

@@ -34,8 +34,10 @@ Convolutions are valid (no padding), stride 1.  Two implementations coexist:
 The engine's transforms come from ``numpy.fft``, so numpy is the package's
 only runtime dependency.  ``scipy.fft`` runs the same pocketfft code and
 gives the same bits, but importing it more than doubles the start-up of
-every ``olivenet`` command.  Conv2's transform length is padded to the
-next 11-smooth integer, as ``scipy.fft.next_fast_len`` would pad it.
+every ``olivenet`` command.  Conv1 transforms the whole input unpadded.
+Conv2 pads its transforms to the next power of two at or above the pooled
+length (128 for 123 positions), which measured faster than the nearest
+11-smooth length at both pool sizes of the tuning grid.
 
 The batched engine has two paths:
 
@@ -59,7 +61,6 @@ Training is mini-batch gradient descent with Adam-style adaptive moments.
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import struct
@@ -84,7 +85,7 @@ class EmptyBatchError(ValueError):
 
 
 class InternalConsistencyError(ValueError):
-    """Cached backward-routing data does not match the forward pass."""
+    """Pool routing data does not fit its input (an argmax outside it)."""
 
 
 class DivergenceError(RuntimeError):
@@ -131,10 +132,6 @@ class Conv1DLayer:
             raise ShapeError("biases must have one entry per output channel")
         if not (np.isfinite(self.filters).all() and np.isfinite(self.biases).all()):
             raise ValueError("non-finite layer parameters")
-
-    @property
-    def ksize(self) -> int:
-        return self.filters.shape[2]
 
 
 @dataclass
@@ -433,29 +430,9 @@ def build_network(hp: HyperParams, input_len: int, rng: np.random.Generator) -> 
 # mini-batch engine (FFT path)
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _next_fast_len(n: int) -> int:
-    """Smallest 11-smooth integer >= n (a product of 2, 3, 5, 7 and 11).
-
-    pocketfft is fastest at these lengths; this is the length that
-    ``scipy.fft.next_fast_len(n)`` returns.
-    """
-    if n < 1:
-        raise ValueError("transform length must be positive")
-    m = n
-    while True:
-        r = m
-        for p in (2, 3, 5, 7, 11):
-            while r % p == 0:
-                r //= p
-        if r == 1:
-            return m
-        m += 1
-
-
 def _fft_sizes(net: Network) -> tuple[int, int]:
     n1 = net.input_len                      # >= conv1 input length, no padding needed
-    n2 = _next_fast_len(net.shapes["pool"])
+    n2 = 1 << (net.shapes["pool"] - 1).bit_length()  # power of two >= pooled length
     return n1, n2
 
 
@@ -523,22 +500,20 @@ def _infer(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
-                rng: Optional[np.random.Generator],
-                spec: Optional[np.ndarray] = None, g1: Optional[np.ndarray] = None):
+                rng: Optional[np.random.Generator], spec: np.ndarray, g1: np.ndarray):
     """One mini-batch step; returns (pred, grads), grads keyed like net.parameters().
 
     ``fx`` is the batch's rfft (B, n1//2 + 1) and ``y`` its targets; the loss
     is their MSE.  ``rng`` draws the dropout mask, the step's only draw, and
     may be None when dropout is off.  ``spec`` (>= B, C1, n1//2 + 1) and
-    ``g1`` (>= B, C1, n1) are reusable buffers, allocated when not given.
+    ``g1`` (>= B, C1, n1) are the buffers the step overwrites.
     """
     n = fx.shape[0]
     lp, l2 = net.shapes["pool"], net.shapes["conv2"]
     c1, pool, k1, k2 = net.hp.filters1, net.hp.pool, net.hp.ksize1, net.hp.ksize2
     n1, n2 = _fft_sizes(net)
     rate = net.hp.dropout
-    spec = _spectrum_buffer(net, n) if spec is None else spec[:n]
-    g1 = np.empty((n, c1, n1)) if g1 is None else g1[:n]
+    spec, g1 = spec[:n], g1[:n]
 
     # the conv1 map lives in g1, whose gradient role starts after pooling
     v1 = _conv1_map(net, fx, spec, out=g1)
@@ -550,8 +525,7 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
 
     fx2, y2 = _conv2(net, x2)
     flat = np.maximum(y2, 0.0).reshape(n, -1)
-    keep = rng.random(flat.shape) >= rate if rate > 0.0 else None
-    fdrop = flat if keep is None else flat * keep / (1.0 - rate)
+    fdrop, keep = dropout_apply(flat, rate, "train", rng)
     pred, z1, a1, z2, a2 = _dense_head(net, fdrop)
 
     g3 = (2.0 * (pred - y) / n)[:, None]
@@ -563,9 +537,7 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
     gd1 = (gd2 @ net.dense2.weights) * (z1 > 0)
     d_w1 = gd1.T @ fdrop
     d_b1 = gd1.sum(axis=0)
-    gflat = gd1 @ net.dense1.weights
-    if keep is not None:
-        gflat = gflat * keep / (1.0 - rate)
+    gflat = gd1 @ net.dense1.weights * keep / (1.0 - rate)
 
     gy2 = gflat.reshape(n, net.hp.filters2, l2) * (y2 > 0)
     fg2 = np.fft.rfft(gy2, n=n2)
@@ -607,28 +579,26 @@ def forward(net: Network, x: np.ndarray):
 class Adam:
     """Adaptive-moment gradient descent (bias-corrected)."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2,
-                 eps: float = ADAM_EPS):
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = grads[k]
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def _check_grade(values: dict[ParameterId, Optional[float]],
                  thresholds: ThresholdSet,
                  grade: Quality,
                  trace: list[str]):
-    """Return (passed, failures, hit_missing) for one grade level."""
+    """Return (failures, hit_missing) for one grade level."""
     failures = []
     hit_missing = False
     for p in PARAMETER_ORDER:

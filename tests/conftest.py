@@ -38,7 +38,10 @@ def small_dataset(bundled_records):
 
 def train_step(net, xs, ys, rng=None):
     """``nn._train_step`` on raw spectra (B, P): (pred, MSE gradients)."""
-    return nn._train_step(net, np.fft.rfft(xs, n=net.input_len), ys, rng)
+    fx = np.fft.rfft(xs, n=net.input_len)
+    shape = (len(xs), net.hp.filters1)
+    return nn._train_step(net, fx, ys, rng, np.empty((*shape, fx.shape[1]), complex),
+                          np.empty((*shape, net.input_len)))
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

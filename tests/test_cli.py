@@ -207,6 +207,33 @@ class TestCompare:
         assert "recommendation = run2 (means not significantly different; " \
                "fewer parameters: 289 vs 305)" in here
 
+    def test_recommendation_does_not_depend_on_argument_order(self, tmp_path):
+        # The smaller network has three times the error.  The one-sided
+        # test must find that whichever run is named first, or the
+        # fewer-parameters tie-break recommends the worse run.
+        spread = np.linspace(-0.02, 0.02, 22)
+        runs = {}
+        for name, mean, n_params in (("good", 0.10, 1071), ("poor", 0.30, 839)):
+            runs[name] = tmp_path / name
+            runs[name].mkdir()
+            rows = [f"acidity,oil{i:02d},{mean + d}\n" for i, d in enumerate(spread)]
+            (runs[name] / "folds.csv").write_text(
+                "parameter,held_out_oil,mae_val\n" + "".join(rows))
+            (runs[name] / "summary.json").write_text(json.dumps({"num_parameters": n_params}))
+
+        chosen, texts = [], []
+        for first, second in (("good", "poor"), ("poor", "good")):
+            out = tmp_path / f"{first}-first"
+            assert run(["compare", "--run1", runs[first], "--run2", runs[second],
+                        "--out", out]) == 0
+            texts.append((out / "ttest.txt").read_text())
+            rec = texts[-1].split("recommendation = ")[1].split()[0]
+            chosen.append({"run1": first, "run2": second}[rec])
+        assert chosen == ["good", "good"]
+        for text, poor in zip(texts, ("run2", "run1")):
+            assert f"sample_1 = {poor} {runs['poor']} (higher mean MAE)\n" in text
+            assert "reject_equal_means = true" in text
+
     def test_mismatched_oil_sets_exit_2(self, dataset_dir, loocv_dir, tmp_path):
         out = tmp_path / "k270b"
         assert run(["loocv", "--data", dataset_dir, "--parameter", "k270",

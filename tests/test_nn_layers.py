@@ -329,11 +329,16 @@ class TestNetworkForward:
         toy_net.output.biases[0] = 3.25
         assert forward(toy_net, rng.standard_normal(TOY_P)) == 3.25
 
-    def test_matches_scalar_oracle_composition(self, toy_net, rng):
+    # conv2's transform length n2 is the power of two at or above the pooled
+    # length lp = (P - 4) // 2: 30 -> 32, 32 -> 32 (no padding), 33 -> 64
+    @pytest.mark.parametrize("p, n2", [(TOY_P, 32), (68, 32), (70, 64)])
+    def test_matches_scalar_oracle_composition(self, p, n2, rng):
+        net = build_network(TOY_HP, p, rng)
+        assert nn._fft_sizes(net)[1] == n2
         for _ in range(20):
-            x = rng.standard_normal(TOY_P)
-            fast = forward(toy_net, x)
-            ref = scalar_network_forward(toy_net, x)
+            x = rng.standard_normal(p)
+            fast = forward(net, x)
+            ref = scalar_network_forward(net, x)
             assert abs(fast - ref) <= 1e-10 * max(1.0, abs(ref))
 
     def test_batched_equals_single(self, toy_net, rng):
@@ -363,15 +368,22 @@ class TestNetworkForward:
 
 
 class TestCompositeGradient:
-    def test_full_network_gradient_vs_finite_differences(self, toy_net, rng):
-        xs = rng.standard_normal((3, TOY_P))
+    @pytest.mark.parametrize("p", [TOY_P, 68, 70])  # pooled lengths 30, 32, 33
+    def test_full_network_gradient_vs_finite_differences(self, p, rng):
+        net = build_network(TOY_HP, p, rng)
+        xs = rng.standard_normal((3, p))
         ys = rng.standard_normal(3)
+        # Zero biases put a layer fed by an all-zero ReLU output exactly on
+        # its own ReLU kink, where central differences read slope 1/2.
+        for name, param in net.parameters().items():
+            if name.endswith("biases"):
+                param[...] = 0.1 * rng.standard_normal(param.shape)
 
         def loss():
-            return mse_loss(train_step(toy_net, xs, ys)[0], ys)[0]
+            return mse_loss(train_step(net, xs, ys)[0], ys)[0]
 
-        _, grads = train_step(toy_net, xs, ys)
-        for key, param in toy_net.parameters().items():
+        _, grads = train_step(net, xs, ys)
+        for key, param in net.parameters().items():
             fd = finite_difference(loss, param)
             np.testing.assert_allclose(
                 grads[key], fd, rtol=1e-4, atol=1e-7,

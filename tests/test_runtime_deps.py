@@ -10,10 +10,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-import scipy.fft
-
 import olivenet
-from olivenet import nn
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -23,11 +20,6 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args],
                           env=env, capture_output=True, text=True, timeout=120)
-
-
-def test_next_fast_len_matches_scipy():
-    assert [nn._next_fast_len(n) for n in range(1, 4097)] == \
-        [scipy.fft.next_fast_len(n) for n in range(1, 4097)]
 
 
 def test_cli_import_leaves_scipy_unloaded():
