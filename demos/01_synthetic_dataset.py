@@ -20,7 +20,7 @@ from olivenet import (
     filter_for_parameter,
     generate_dataset,
     load_bundled_labels,
-    normalize_dataset,
+    normalize,
 )
 
 records = load_bundled_labels()
@@ -51,8 +51,7 @@ k270_ds = filter_for_parameter(dataset, ParameterId.K270)
 print(f"after filtering for K270: {k270_ds.n_oil} oils, {k270_ds.n_spectra} spectra")
 
 # Every spectrum is z-scored (mean 0, population std 1) before training.
-normalized = normalize_dataset(dataset)
-z = normalized.spectra[0].intensities
+z = normalize(dataset.spectra[0]).intensities
 print(f"first normalized spectrum: mean={z.mean():+.2e}  std={z.std():.12f}")
 
 # Terminal sketch: a low-acidity EVOO vs the high-acidity LOO D51.  The

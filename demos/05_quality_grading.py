@@ -12,12 +12,14 @@ Run:  python demos/05_quality_grading.py
 """
 
 from olivenet import ParameterId, classify, default_thresholds, load_bundled_labels
-from olivenet.quality import thresholds_to_entries
 
 thresholds = default_thresholds()
-print("shipped limits (upper bounds):")
-for key, value in thresholds_to_entries(thresholds).items():
-    print(f"  {key} = {value}")
+print(f"shipped limits (upper bounds; missing values: {thresholds.missing_policy}):")
+print(f"  {'parameter':<13} {'EVOO':>6} {'VOO':>6}")
+for p in ParameterId:
+    evoo, voo = thresholds.evoo.get(p), thresholds.voo.get(p)
+    print(f"  {p.value:<13} {'-' if evoo is None else f'{evoo:g}':>6} "
+          f"{'-' if voo is None else f'{voo:g}':>6}")
 
 records = load_bundled_labels()
 print(f"\n{'oil':>5} {'lab grade':>9} {'chemical verdict':>16}  notes")

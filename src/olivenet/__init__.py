@@ -20,8 +20,6 @@ from .data import (
     load_bundled_labels,
     load_labels,
     normalize,
-    normalize_dataset,
-    subtract_dark,
 )
 from .synth import (
     GeneratorConfig,

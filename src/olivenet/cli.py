@@ -2,7 +2,9 @@
 
 Subcommands: generate, train, loocv, compare, classify, report.  Every
 output directory receives a manifest recording the command, seed, resolved
-configuration and input fingerprints; rerunning a command with the same
+configuration and input fingerprints; ``train`` and ``loocv`` add the target
+parameter and every hyperparameter, which with the seed and the inputs are
+all that decide their outputs.  Rerunning a command with the same
 inputs reproduces the numerical output files byte for byte (the manifest
 itself carries timestamps and is excluded from that guarantee).
 
@@ -53,25 +55,20 @@ class DivergedModelError(Exception):
     """A trained model has non-finite parameters or predictions; exit code 4."""
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def write_manifest(out_dir: Path, command: str, seed, config_paths: dict,
-                   hyperparams: dict | None, inputs: dict[str, Path]) -> None:
+                   hyperparams: dict | None, inputs: dict[str, Path], **extra) -> None:
+    """Write ``manifest.json``; ``extra`` adds top-level keys."""
     manifest = {
+        **extra,
         "artifact_version": __version__,
         "command": command,
-        "created_utc": _utc_now(),
+        "created_utc": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config_paths": {k: str(v) for k, v in config_paths.items()},
         "hyperparams": hyperparams,
         "dataset_fingerprint": {
-            name: _sha256(p) for name, p in sorted(inputs.items()) if p.exists()
+            name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for name, p in sorted(inputs.items()) if p.exists()
         },
     }
     (out_dir / "manifest.json").write_text(
@@ -182,7 +179,8 @@ def cmd_train(args) -> int:
     write_manifest(out, "train", args.seed, {"data": dataset_dir}, hp.to_dict(),
                    {"spectra.csv": dataset_dir / "spectra.csv",
                     "grid.txt": dataset_dir / "grid.txt",
-                    "labels.csv": dataset_dir / "labels.csv"})
+                    "labels.csv": dataset_dir / "labels.csv"},
+                   parameter=parameter.value)
     final = trace[-1].train_mse if trace else float("nan")
     print(f"trained {parameter.value} model on {dataset.n_spectra} spectra "
           f"({hp.epochs} epochs, final train MSE {final:.6g}) -> {out}")
@@ -196,8 +194,7 @@ def cmd_loocv(args) -> int:
     dataset = dmod.filter_for_parameter(_load_dataset_dir(dataset_dir), parameter)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
 
-    summary = emod.loocv(dataset, parameter, hp, args.seed,
-                         val_every=args.val_every, jobs=jobs)
+    summary = emod.loocv(dataset, parameter, hp, args.seed, jobs=jobs)
 
     input_len = len(dataset.grid)
     num_parameters = nn.build_network(hp, input_len, np.random.default_rng(0)).num_parameters()
@@ -209,7 +206,8 @@ def cmd_loocv(args) -> int:
     write_manifest(out, "loocv", args.seed, {"data": dataset_dir}, hp.to_dict(),
                    {"spectra.csv": dataset_dir / "spectra.csv",
                     "grid.txt": dataset_dir / "grid.txt",
-                    "labels.csv": dataset_dir / "labels.csv"})
+                    "labels.csv": dataset_dir / "labels.csv"},
+                   parameter=parameter.value)
     print(f"loocv {parameter.value}: {summary.n_oil} folds, "
           f"checkpoint {summary.checkpoint}, "
           f"<MAE_T>={summary.mean_mae_train:.4g} <MAE_V>={summary.mean_mae_val:.4g} "
@@ -424,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--parameter", required=True,
                    choices=[q.value for q in dmod.ParameterId])
     l.add_argument("--seed", type=int, default=0)
-    l.add_argument("--val-every", type=int, default=10)
     l.add_argument("--jobs", type=int, default=0,
                    help="parallel folds; 0 = all cores (results identical)")
     l.add_argument("--out", required=True)

@@ -4,6 +4,10 @@ A dataset couples a shared wavelength grid, a set of measured (or synthetic)
 emission spectra and the laboratory reference values of the five chemical
 quality parameters.  All types are immutable after construction and safe to
 share between threads.
+
+Spectra are stored raw and ``normalize`` z-scores them where model inputs
+are built.  Loading applies no dark-frame correction: synthetic spectra are
+dark-free, and measured ones belong in the CSV already corrected.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 SUPPORTED_EXCITATIONS = (365, 395)
-
-#: Tolerance on the mean/std invariants of a normalized spectrum.
-NORMALIZED_TOL = 1e-9
 
 
 class DimensionMismatchError(ValueError):
@@ -122,7 +123,6 @@ class Spectrum:
     excitation_nm: int
     oil_id: str
     repetition: int
-    normalized: bool = False
 
     def __post_init__(self):
         x = _readonly(np.asarray(self.intensities, dtype=float))
@@ -134,9 +134,6 @@ class Spectrum:
             raise ValueError(f"excitation must be one of {SUPPORTED_EXCITATIONS}")
         if self.repetition < 1:
             raise ValueError("repetition is 1-based")
-        if self.normalized:
-            if abs(float(x.mean())) > NORMALIZED_TOL or abs(float(x.std()) - 1.0) > NORMALIZED_TOL:
-                raise ValueError("spectrum flagged normalized but mean/std are off")
         object.__setattr__(self, "intensities", x)
 
 
@@ -228,15 +225,6 @@ class Dataset:
 # operations
 # ---------------------------------------------------------------------------
 
-def subtract_dark(raw: np.ndarray, dark: np.ndarray) -> np.ndarray:
-    """Elementwise dark-frame subtraction; negatives from noise are kept."""
-    raw = np.asarray(raw, dtype=float)
-    dark = np.asarray(dark, dtype=float)
-    if raw.shape != dark.shape:
-        raise DimensionMismatchError(f"raw {raw.shape} vs dark {dark.shape}")
-    return raw - dark
-
-
 def normalize(spectrum: Spectrum) -> Spectrum:
     """Z-score a spectrum to mean 0 and population standard deviation 1.
 
@@ -248,13 +236,7 @@ def normalize(spectrum: Spectrum) -> Spectrum:
     if std == 0.0:
         raise DegenerateSpectrumError(f"constant spectrum for oil {spectrum.oil_id!r}")
     z = (x - float(x.mean())) / std
-    return replace(spectrum, intensities=z, normalized=True)
-
-
-def normalize_dataset(dataset: Dataset) -> Dataset:
-    """Normalize every spectrum that is not already normalized."""
-    spectra = tuple(s if s.normalized else normalize(s) for s in dataset.spectra)
-    return replace(dataset, spectra=spectra)
+    return replace(spectrum, intensities=z)
 
 
 def _parse_cell(cell: str, name: str, line: int) -> Optional[float]:
@@ -370,17 +352,10 @@ def load_spectra(
     spectra_path: str | Path,
     grid_path: str | Path,
     records: Sequence[OilRecord],
-    dark: Optional[np.ndarray] = None,
 ) -> Dataset:
-    """Read a spectra CSV plus its companion grid file into a Dataset.
-
-    When a dark frame is given it is subtracted from every spectrum before
-    assembly (synthetic data is generated dark-free, so the default is None).
-    """
+    """Read a spectra CSV plus its companion grid file into a Dataset."""
     grid = load_grid(grid_path)
     p = len(grid)
-    if dark is not None and len(dark) != p:
-        raise DimensionMismatchError("dark frame length != grid length")
     spectra: list[Spectrum] = []
     reps: dict[str, int] = {}
     with Path(spectra_path).open(newline="", encoding="utf-8") as fh:
@@ -393,12 +368,9 @@ def load_spectra(
         for line, row in enumerate(reader, start=2):
             if len(row) != 3 + p:
                 raise LabelParseError(f"expected {3 + p} fields, got {len(row)}", line)
-            inten = np.array([float(v) for v in row[3:]])
-            if dark is not None:
-                inten = subtract_dark(inten, dark)
             spectra.append(Spectrum(
                 grid=grid,
-                intensities=inten,
+                intensities=np.array([float(v) for v in row[3:]]),
                 excitation_nm=int(row[1]),
                 oil_id=row[0],
                 repetition=int(row[2]),

@@ -9,6 +9,10 @@ difference) is selected.  That guards against the classic leave-one-out
 failure mode where a network scores well on the held-out oil by memorizing
 label structure while train and validation errors drift apart.
 
+Validation runs every ``nn.VAL_EVERY`` epochs and on the last one.  That
+cadence decides which snapshot a run selects, so it is a constant rather
+than an argument that a manifest would have to record.
+
 The best-training-loss snapshot is taken after the epoch's updates, while
 the loss it is ranked by is the sample-weighted mean of the epoch's batch
 losses, each measured before its own update.  The snapshot is kept that
@@ -105,9 +109,6 @@ class CvSummary:
     def checkpoint(self) -> str:
         return self.per_fold[0].chosen_checkpoint
 
-    def fold_maes_val(self) -> np.ndarray:
-        return np.array([f.mae_val for f in self.per_fold])
-
     def leakage_ratio(self) -> float:
         """Validation-to-train mean MAE ratio; large values suggest leakage."""
         if self.mean_mae_train == 0.0:
@@ -134,8 +135,7 @@ def design_matrices(dataset: Dataset, parameter: ParameterId):
     """Normalized (N, P) matrix, per-spectrum targets and oil ids."""
     rows, targets, ids = [], [], []
     for s in dataset.spectra:
-        z = s if s.normalized else normalize(s)
-        rows.append(z.intensities)
+        rows.append(normalize(s).intensities)
         v = dataset.record_for(s.oil_id).value_of(parameter)
         if v is None:
             raise ValueError(
@@ -145,7 +145,7 @@ def design_matrices(dataset: Dataset, parameter: ParameterId):
     return np.stack(rows), np.array(targets), np.array(ids)
 
 
-def _run_fold(hold, x_all, y_all, ids, hp, seed, val_every):
+def _run_fold(hold, x_all, y_all, ids, hp, seed):
     """Train the fold that holds out oil ``hold`` and score both checkpoints.
 
     The fold's rows are sliced from the full matrices here, when it runs,
@@ -168,8 +168,7 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed, val_every):
             snapshots["best_val_loss"] = [val_mse, live.copy_parameters()]
 
     try:
-        train(net, x_tr, y_tr, hp, rng, validation=(x_va, y_va),
-              val_every=val_every, callbacks=[keep_best])
+        train(net, x_tr, y_tr, hp, rng, validation=(x_va, y_va), callbacks=[keep_best])
     except DivergenceError as e:
         raise FoldDivergedError(hold, e) from e
     except Exception as e:  # annotate with the fold id
@@ -227,7 +226,6 @@ def loocv_checkpoint_runs(
     hp: HyperParams,
     seed: int,
     *,
-    val_every: int = 10,
     jobs: int = 1,
 ) -> tuple[CvSummary, CvSummary]:
     """Run all folds; returns the (best-val, best-train) checkpoint runs.
@@ -239,7 +237,7 @@ def loocv_checkpoint_runs(
     """
     if dataset.n_oil < 3:
         raise ValueError("leave-one-out needs at least 3 oils")
-    fold_args = (*design_matrices(dataset, parameter), hp, seed, val_every)
+    fold_args = (*design_matrices(dataset, parameter), hp, seed)
     oils = sorted({r.oil_id for r in dataset.records})
 
     if jobs > 1:
@@ -327,12 +325,10 @@ def loocv(
     hp: HyperParams,
     seed: int,
     *,
-    val_every: int = 10,
     jobs: int = 1,
 ) -> CvSummary:
     """Full protocol: both checkpoint runs, selection, error percentages."""
-    run_val, run_train = loocv_checkpoint_runs(
-        dataset, parameter, hp, seed, val_every=val_every, jobs=jobs)
+    run_val, run_train = loocv_checkpoint_runs(dataset, parameter, hp, seed, jobs=jobs)
     chosen = select_checkpoint(run_val, run_train)
     avg_pct, label_pct = error_percentages(chosen, dataset.records)
     return replace(chosen, average_error_pct=avg_pct, label_error_pct=label_pct)

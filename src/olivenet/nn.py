@@ -56,7 +56,8 @@ The batched engine has two paths:
   input ``INFER_CHUNK`` rows at a time, so its working set does not grow
   with the batch: scoring 420 spectra needs no more memory than scoring 64.
 
-Training is mini-batch gradient descent with Adam-style adaptive moments.
+Training is mini-batch gradient descent with Adam-style adaptive moments;
+validation runs every ``VAL_EVERY`` epochs, a fixed part of the protocol.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ ADAM_EPS = 1e-8
 #: Hyperparameter tuning grid explored for this architecture.
 FILTERS_GRID = (4, 6)
 POOL_GRID = (8, 16)
+
+#: Epochs between validation passes in ``train``; the last epoch is always
+#: scored.  Fixed, not a flag: the best-validation checkpoint is picked among
+#: scored epochs, so the cadence is part of the protocol behind every result.
+VAL_EVERY = 10
 
 #: Rows per block of the inference pass.  It bounds the pass's working set
 #: (about 10 MB at P=1024 with 6 conv1 filters) whatever the batch size.
@@ -348,23 +354,20 @@ def dense_backward(grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer
     return layer.weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
 
 
-def dropout_apply(x: np.ndarray, rate: float, mode: str,
-                  rng: Optional[np.random.Generator] = None
+def dropout_apply(x: np.ndarray, rate: float, rng: Optional[np.random.Generator]
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverted dropout: train-time zeroing with 1/(1-rate) rescaling.
+    """Inverted dropout for training: zeroing with 1/(1-rate) rescaling.
 
-    Eval mode is the identity, so no test-time correction is needed.
-    Returns (output, keep_mask).
+    Inference skips dropout altogether, so no test-time correction is
+    needed.  Returns (output, keep_mask).
     """
     x = np.asarray(x, dtype=float)
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return x.copy(), np.ones_like(x, dtype=bool)
-    if mode != "train":
-        raise ValueError("mode must be 'train' or 'eval'")
     if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
+        raise ValueError("dropout needs an rng")
     keep = rng.random(x.shape) >= rate
     return x * keep / (1.0 - rate), keep
 
@@ -525,7 +528,7 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
 
     fx2, y2 = _conv2(net, x2)
     flat = np.maximum(y2, 0.0).reshape(n, -1)
-    fdrop, keep = dropout_apply(flat, rate, "train", rng)
+    fdrop, keep = dropout_apply(flat, rate, rng)
     pred, z1, a1, z2, a2 = _dense_head(net, fdrop)
 
     g3 = (2.0 * (pred - y) / n)[:, None]
@@ -612,23 +615,19 @@ def train(
     net: Network,
     spectra: np.ndarray,
     targets: np.ndarray,
-    hp: Optional[HyperParams] = None,
-    rng: Optional[np.random.Generator] = None,
+    hp: HyperParams,
+    rng: np.random.Generator,
     *,
     validation: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    val_every: int = 10,
     callbacks: Sequence[Callable[[int, float, Optional[float], Network], None]] = (),
 ) -> list[EpochRecord]:
     """Mini-batch training; returns the per-epoch trace.
 
     Each epoch reshuffles with ``rng``, the final partial batch is kept, and
     the epoch's training MSE is the sample-weighted mean of its batch
-    losses.  Validation MSE (eval mode) is computed every ``val_every``
+    losses.  Validation MSE (no dropout) is computed every ``VAL_EVERY``
     epochs and on the last one.  Deterministic for a given rng seed.
     """
-    hp = net.hp if hp is None else hp
-    if rng is None:
-        rng = np.random.default_rng(0)
     spectra = np.asarray(spectra, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if spectra.ndim != 2 or spectra.shape[0] != targets.shape[0]:
@@ -662,7 +661,7 @@ def train(
                 res = pred - y
                 sq_sum += float(res @ res)
                 opt.step(grads)
-            if validation is not None and ((epoch + 1) % val_every == 0 or epoch == hp.epochs - 1):
+            if validation is not None and ((epoch + 1) % VAL_EVERY == 0 or epoch == hp.epochs - 1):
                 val_mse, _ = mse_loss(_infer(net, validation[0]), validation[1])
         train_mse = sq_sum / n_total
         if not np.isfinite(train_mse):
@@ -713,20 +712,24 @@ def load_network(path: str | Path) -> Network:
     raw = Path(path).read_bytes()
     if raw[:5] != CHECKPOINT_MAGIC:
         raise ValueError("not an OCNN1 checkpoint")
+    if len(raw) < 10:
+        raise ValueError("checkpoint truncated before its header length")
     version = raw[5]
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack_from("<I", raw, 6)
     meta = json.loads(raw[10:10 + hlen].decode())
+    if not isinstance(meta, dict) or not {"hyperparams", "input_len"} <= meta.keys():
+        raise ValueError("checkpoint header lacks hyperparams or input_len")
     hp = HyperParams.from_dict(meta["hyperparams"])
     net = build_network(hp, meta["input_len"], np.random.default_rng(0))
     off = 10 + hlen
+    if len(raw) != off + 8 * net.num_parameters():
+        raise ValueError("checkpoint size does not match the architecture")
     params = {}
     for k, v in net.parameters().items():
         nblock = v.size * 8
         params[k] = np.frombuffer(raw[off:off + nblock], dtype="<f8").reshape(v.shape).copy()
         off += nblock
-    if off != len(raw):
-        raise ValueError("checkpoint size does not match the architecture")
     net.set_parameters(params)
     return net

@@ -56,7 +56,6 @@ class ThresholdSet:
 class QualityVerdict:
     grade: Quality
     failing_parameters: tuple[tuple[ParameterId, float, float], ...]
-    evaluated_in_order: tuple[str, ...]
     unevaluated: tuple[ParameterId, ...] = ()
 
     def __post_init__(self):
@@ -67,8 +66,7 @@ class QualityVerdict:
 
 def _check_grade(values: dict[ParameterId, Optional[float]],
                  thresholds: ThresholdSet,
-                 grade: Quality,
-                 trace: list[str]):
+                 grade: Quality):
     """Return (failures, hit_missing) for one grade level."""
     failures = []
     hit_missing = False
@@ -79,11 +77,7 @@ def _check_grade(values: dict[ParameterId, Optional[float]],
         v = values.get(p)
         if v is None:
             hit_missing = True
-            trace.append(f"{grade.value}:{p.value}=missing")
-            continue
-        ok = v <= limit
-        trace.append(f"{grade.value}:{p.value}={v:g}<={limit:g}:{'pass' if ok else 'fail'}")
-        if not ok:
+        elif not v <= limit:  # a NaN value fails too
             failures.append((p, v, limit))
     return failures, hit_missing
 
@@ -101,20 +95,19 @@ def classify(record: OilRecord | dict[ParameterId, Optional[float]],
         raise InsufficientDataError("acidity is required for grading")
 
     unevaluated = tuple(p for p in PARAMETER_ORDER if values[p] is None)
-    trace: list[str] = []
     strict = thresholds.missing_policy == "strict"
 
-    evoo_fail, evoo_missing = _check_grade(values, thresholds, Quality.EVOO, trace)
+    evoo_fail, evoo_missing = _check_grade(values, thresholds, Quality.EVOO)
     evoo_blocked = evoo_missing  # either policy: missing data never certifies EVOO
     if not evoo_fail and not evoo_blocked:
-        return QualityVerdict(Quality.EVOO, (), tuple(trace), unevaluated)
+        return QualityVerdict(Quality.EVOO, (), unevaluated)
 
-    voo_fail, voo_missing = _check_grade(values, thresholds, Quality.VOO, trace)
+    voo_fail, voo_missing = _check_grade(values, thresholds, Quality.VOO)
     voo_blocked = voo_missing and strict
     if not voo_fail and not voo_blocked:
-        return QualityVerdict(Quality.VOO, tuple(evoo_fail), tuple(trace), unevaluated)
+        return QualityVerdict(Quality.VOO, tuple(evoo_fail), unevaluated)
 
-    return QualityVerdict(Quality.LOO, tuple(voo_fail or evoo_fail), tuple(trace), unevaluated)
+    return QualityVerdict(Quality.LOO, tuple(voo_fail or evoo_fail), unevaluated)
 
 
 # ---------------------------------------------------------------------------
@@ -137,21 +130,8 @@ def thresholds_from_entries(entries: dict[str, str]) -> ThresholdSet:
     )
 
 
-def thresholds_to_entries(t: ThresholdSet) -> dict[str, str]:
-    out = {"missing_policy": t.missing_policy}
-    for prefix, table in (("evoo", t.evoo), ("voo", t.voo)):
-        for p in PARAMETER_ORDER:
-            if table.get(p) is not None:
-                out[f"{prefix}.{p.value}"] = repr(float(table[p]))
-    return out
-
-
 def load_thresholds(path: str | Path) -> ThresholdSet:
     return thresholds_from_entries(kvconfig.load_kv(path))
-
-
-def save_thresholds(t: ThresholdSet, path: str | Path) -> None:
-    Path(path).write_text(kvconfig.dump_kv(thresholds_to_entries(t)), encoding="utf-8")
 
 
 def default_thresholds() -> ThresholdSet:

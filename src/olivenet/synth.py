@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .seeding import derive_seed
+from .seeding import derive_rng
 from .data import (
     Dataset,
     EmptyDatasetError,
@@ -86,15 +86,6 @@ class GeneratorConfig:
                 raise ValueError(f"coupling target {c.target} indexes no peak")
 
 
-def substream_seed(seed: int, oil_id: str, excitation_nm: int, repetition: int) -> int:
-    """Stable per-spectrum RNG seed.
-
-    Keyed by content rather than by generation order, so regenerating any
-    subset of a dataset reproduces the same spectra bit for bit.
-    """
-    return derive_seed(seed, oil_id, excitation_nm, repetition)
-
-
 def apply_instrument_response(signal: np.ndarray, resolution_px: int) -> np.ndarray:
     """Blur with a unit-sum box kernel of the given pixel width.
 
@@ -146,7 +137,10 @@ def generate_spectrum(
 ) -> Spectrum:
     """Synthesize one raw (un-normalized) spectrum for an oil.
 
-    Deterministic function of (config.seed, oil_id, excitation, repetition).
+    Deterministic function of (config.seed, oil_id, excitation, repetition):
+    the noise seed is keyed by content rather than by generation order, so
+    regenerating any subset of a dataset reproduces the same spectra bit
+    for bit.
     """
     if excitation_nm not in SUPPORTED_EXCITATIONS:
         raise UnsupportedExcitationError(f"no LED at {excitation_nm} nm")
@@ -159,8 +153,7 @@ def generate_spectrum(
             signal += a * np.exp(-0.5 * ((lam - c) / w) ** 2)
     signal = apply_instrument_response(signal, config.resolution_px)
     if config.noise_sigma > 0.0:
-        rng = np.random.default_rng(
-            substream_seed(config.seed, record.oil_id, excitation_nm, repetition))
+        rng = derive_rng(config.seed, record.oil_id, excitation_nm, repetition)
         signal = signal * (1.0 + config.noise_sigma * rng.standard_normal(len(grid)))
     signal = np.maximum(signal, 0.0)  # counts cannot go negative
     return Spectrum(
@@ -169,7 +162,6 @@ def generate_spectrum(
         excitation_nm=excitation_nm,
         oil_id=record.oil_id,
         repetition=repetition,
-        normalized=False,
     )
 
 
@@ -183,6 +175,8 @@ def generate_dataset(
     """Generate ``repetitions`` spectra for every record."""
     if not records:
         raise EmptyDatasetError("no records to generate from")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     spectra = [
         generate_spectrum(rec, excitation_nm, rep, config, grid)
         for rec in records

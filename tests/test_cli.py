@@ -60,6 +60,13 @@ class TestGenerate:
         assert sha(again / "spectra.csv") == sha(dataset_dir / "spectra.csv")
         assert sha(again / "grid.txt") == sha(dataset_dir / "grid.txt")
 
+    def test_zero_repetitions_exit_2(self, tmp_path, capsys):
+        # a header-only spectra.csv is no dataset: every later command rejects it
+        out = tmp_path / "empty"
+        assert run(["generate", "--pixels", 64, "--repetitions", 0, "--out", out]) == 2
+        assert "repetitions" in capsys.readouterr().err
+        assert not (out / "spectra.csv").exists()
+
     def test_missing_labels_path_exit_2(self, tmp_path, capsys):
         code = run(["generate", "--labels", tmp_path / "nope.csv",
                     "--out", tmp_path / "x"])
@@ -285,6 +292,41 @@ class TestHyperparameterFlags:
         args = cli.build_parser().parse_args(
             [command, "--data", "d", "--parameter", "acidity", "--out", "o"])
         assert cli._hp_from_args(args) == nn.HyperParams()
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["train", "loocv"])
+    def test_records_every_option_that_shapes_the_outputs(self, dataset_dir, tmp_path,
+                                                          command):
+        out = tmp_path / "run"
+        argv = [command, "--data", dataset_dir, "--parameter", "acidity", "--seed", 3,
+                "--out", out] + (LOOCV_QUICK if command == "loocv" else LOOCV_QUICK[:-2])
+        assert run(argv) == 0
+        meta = json.loads((out / "manifest.json").read_text())
+        parser = cli.build_parser()
+        args = parser.parse_args([str(a) for a in argv])
+        subparser = parser._subparsers._group_actions[0].choices[command]
+        dense = {"dense1": 0, "dense2": 1}
+        unrecorded = []
+        for action in subparser._actions:
+            name = action.dest
+            if not action.option_strings or name in ("help", "data", "out", "jobs"):
+                continue
+            if name in ("seed", "parameter"):
+                recorded = meta.get(name)
+            elif name in dense:
+                recorded = meta["hyperparams"]["dense_sizes"][dense[name]]
+            else:
+                recorded = meta["hyperparams"].get(name)
+            if recorded != getattr(args, name):
+                unrecorded.append(name)
+        assert unrecorded == []
+
+    def test_validation_cadence_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            run(["loocv", "--data", tmp_path, "--parameter", "acidity",
+                 "--out", tmp_path / "o", "--val-every", 5])
+        assert e.value.code == 2
 
 
 class TestEntryPoint:

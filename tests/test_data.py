@@ -17,8 +17,6 @@ from olivenet.data import (
     filter_for_parameter,
     load_labels,
     normalize,
-    normalize_dataset,
-    subtract_dark,
 )
 
 
@@ -48,38 +46,15 @@ class TestSpectrum:
         with pytest.raises(DimensionMismatchError):
             Spectrum(g, np.zeros(15), 395, "D01", 1)
 
-    def test_normalized_flag_is_checked(self):
-        g = dmod.default_grid(16)
-        with pytest.raises(ValueError):
-            Spectrum(g, np.arange(16.0), 395, "D01", 1, normalized=True)
-
     def test_unsupported_excitation(self):
         g = dmod.default_grid(16)
         with pytest.raises(ValueError):
             Spectrum(g, np.zeros(16), 400, "D01", 1)
 
 
-class TestSubtractDark:
-    def test_elementwise(self):
-        out = subtract_dark(np.array([5.0, 5.0, 5.0]), np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(out, [4.0, 3.0, 2.0])
-
-    def test_self_subtraction_is_zero(self, rng):
-        x = rng.random(50)
-        assert np.array_equal(subtract_dark(x, x), np.zeros(50))
-
-    def test_zero_dark_is_identity(self, rng):
-        x = rng.random(50)
-        assert np.array_equal(subtract_dark(x, np.zeros(50)), x)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            subtract_dark(np.zeros(3), np.zeros(4))
-
-
-def _spec(values, normalized=False):
+def _spec(values):
     g = WavelengthGrid(np.arange(350.0, 350.0 + len(values)))
-    return Spectrum(g, np.asarray(values, float), 395, "T01", 1, normalized=normalized)
+    return Spectrum(g, np.asarray(values, float), 395, "T01", 1)
 
 
 class TestNormalize:
@@ -88,7 +63,6 @@ class TestNormalize:
         out = normalize(_spec([1.0, 2.0, 3.0]))
         expected = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)
         np.testing.assert_allclose(out.intensities, expected, atol=1e-12)
-        assert out.normalized
 
     def test_mean_and_population_std(self, rng):
         for _ in range(1000):
@@ -243,18 +217,3 @@ class TestSpectraIO:
         dmod.save_grid(small_dataset.grid, tmp_path / "g.txt")
         with pytest.raises(LabelParseError, match="empty spectra file"):
             dmod.load_spectra(tmp_path / "s.csv", tmp_path / "g.txt", small_dataset.records)
-
-    def test_dark_applied_on_load(self, small_dataset, tmp_path):
-        dmod.save_spectra(small_dataset, tmp_path / "s.csv")
-        dmod.save_grid(small_dataset.grid, tmp_path / "g.txt")
-        dark = np.full(len(small_dataset.grid), 0.25)
-        back = dmod.load_spectra(tmp_path / "s.csv", tmp_path / "g.txt",
-                                 small_dataset.records, dark=dark)
-        np.testing.assert_allclose(
-            back.spectra[0].intensities,
-            small_dataset.spectra[0].intensities - 0.25)
-
-    def test_normalize_dataset_flags_all(self, small_dataset):
-        out = normalize_dataset(small_dataset)
-        assert all(s.normalized for s in out.spectra)
-        assert out.n_spectra == small_dataset.n_spectra

@@ -138,8 +138,8 @@ class TestSeedPairsComparison:
                 for s in range(20)}
         accepted = 0
         for s in range(0, 20, 2):
-            r = compare_configs(runs[s].fold_maes_val(),
-                                runs[s + 1].fold_maes_val())
+            r = compare_configs([f.mae_val for f in runs[s].per_fold],
+                                [f.mae_val for f in runs[s + 1].per_fold])
             accepted += not r.reject_equal_means
         assert accepted >= 9
 

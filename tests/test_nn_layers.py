@@ -220,28 +220,22 @@ class TestDense:
 
 
 class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        x = rng.standard_normal(100)
-        y, mask = dropout_apply(x, 0.5, "eval", rng)
-        assert np.array_equal(y, x)
-        assert mask.all()
-
     def test_rate_zero_identity(self, rng):
         x = rng.standard_normal(100)
-        y, _ = dropout_apply(x, 0.0, "train", rng)
+        y, _ = dropout_apply(x, 0.0, rng)
         assert np.array_equal(y, x)
 
     def test_survivor_statistics(self):
         rng = np.random.default_rng(7)
         x = np.ones(100_000)
-        y, mask = dropout_apply(x, 0.5, "train", rng)
+        y, mask = dropout_apply(x, 0.5, rng)
         frac = mask.mean()
         assert 0.49 <= frac <= 0.51
         assert abs(y.mean() - 1.0) < 0.02  # inverted scaling keeps E[y] = x
 
     def test_scaling_of_survivors(self, rng):
         x = np.ones(1000)
-        y, mask = dropout_apply(x, 0.2, "train", rng)
+        y, mask = dropout_apply(x, 0.2, rng)
         assert np.allclose(y[mask], 1.0 / 0.8)
         assert not y[~mask].any()
 

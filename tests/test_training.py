@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ class TestTrain:
                             "dense_sizes": TOY_HP.dense_sizes})
         trace = train(net=build_network(hp, TOY_P, np.random.default_rng(0)),
                       spectra=x, targets=y, hp=hp, rng=np.random.default_rng(1),
-                      validation=(x[:4], y[:4]), val_every=10)
+                      validation=(x[:4], y[:4]))
         with_val = [r.epoch for r in trace if r.val_mse is not None]
         assert with_val == [9, 19, 24]  # every 10th and the final epoch
 
@@ -145,7 +147,7 @@ class TestTraceCsv:
         hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 3,
                             "dense_sizes": TOY_HP.dense_sizes})
         trace = train(build_network(hp, TOY_P, np.random.default_rng(0)), x, y,
-                      hp, np.random.default_rng(1), validation=(x, y), val_every=2)
+                      hp, np.random.default_rng(1), validation=(x, y))
         save_trace(trace, tmp_path / "trace.csv")
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_mse,val_mse"
@@ -179,11 +181,17 @@ class TestCheckpointFormat:
         header_len = int.from_bytes(raw[6:10], "little")
         assert len(raw) == 10 + header_len + n_param_bytes
 
-    def test_truncated_file_rejected(self, tmp_path, toy_net):
+    @pytest.mark.parametrize("damage, cause", [
+        (lambda raw: raw[:-8], "size does not match"),
+        (lambda raw: raw[:5], "truncated"),
+        (lambda raw: raw[:6], "truncated"),
+        (lambda raw: raw[:6] + struct.pack("<I", 16) + b'{"input_len": 6}', "hyperparams"),
+    ], ids=["last-parameter", "magic-only", "no-header-length", "no-hyperparams"])
+    def test_truncated_file_rejected(self, tmp_path, toy_net, damage, cause):
         save_network(toy_net, tmp_path / "m.ocnn")
         raw = (tmp_path / "m.ocnn").read_bytes()
-        (tmp_path / "bad.ocnn").write_bytes(raw[:-8])
-        with pytest.raises(ValueError):
+        (tmp_path / "bad.ocnn").write_bytes(damage(raw))
+        with pytest.raises(ValueError, match=cause):
             load_network(tmp_path / "bad.ocnn")
 
     def test_wrong_magic_rejected(self, tmp_path):
