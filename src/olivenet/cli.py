@@ -11,6 +11,15 @@ itself carries timestamps and is excluded from that guarantee).
 Exit codes: 0 success, 1 internal error, 2 input error, 3 empty result,
 4 training diverged (a non-finite loss, MAE, parameter or prediction; lower
 the learning rate).  A diverged ``train`` writes no model.
+
+The type of the exception alone decides the code: ``EmptyResultError`` exits
+3, ``nn.DivergenceError`` 4, ``ValueError`` and ``OSError`` 2, and anything
+else 1.  Every input check raises a plain ``ValueError``, as does every
+``float()``, ``int()`` or ``json.loads`` of a bad file.  A program fault
+raises something else: ``nn.ShapeError`` (a ``RuntimeError``) for arrays
+that do not fit, and a ``RuntimeError`` naming the fold for any failure
+inside a LOOCV fold.  A ``ValueError`` that numpy raises from a bug outside
+a fold still exits 2.
 """
 
 from __future__ import annotations
@@ -43,16 +52,8 @@ EXIT_EMPTY = 3
 EXIT_DIVERGED = 4
 
 
-class InputError(Exception):
-    """User-correctable problem; maps to exit code 2."""
-
-
 class EmptyResultError(Exception):
     """Nothing to report; maps to exit code 3."""
-
-
-class DivergedModelError(Exception):
-    """A trained model has non-finite parameters or predictions; exit code 4."""
 
 
 def write_manifest(out_dir: Path, command: str, seed, config_paths: dict,
@@ -77,7 +78,7 @@ def write_manifest(out_dir: Path, command: str, seed, config_paths: dict,
 
 def _require(path: Path, what: str) -> Path:
     if not path.exists():
-        raise InputError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return path
 
 
@@ -171,7 +172,7 @@ def cmd_train(args) -> int:
         finite = np.isfinite(nn.forward(net, x)).all() and all(
             np.isfinite(v).all() for v in net.parameters().values())
     if not finite:
-        raise DivergedModelError("non-finite parameters or predictions after training")
+        raise nn.DivergenceError("non-finite parameters or predictions after training")
 
     out = _out_dir(args.out)
     nn.save_network(net, out / "model.ocnn")
@@ -227,7 +228,7 @@ def _read_fold_csv(run_dir: Path) -> tuple[str, dict[str, float]]:
             parameter = row["parameter"]
             by_oil[row["held_out_oil"]] = float(row["mae_val"])
     if not by_oil:
-        raise InputError(f"{path} holds no folds")
+        raise ValueError(f"{path} holds no folds")
     return parameter, by_oil
 
 
@@ -244,9 +245,9 @@ def cmd_compare(args) -> int:
     param1, maes1 = _read_fold_csv(dir1)
     param2, maes2 = _read_fold_csv(dir2)
     if param1 != param2:
-        raise InputError(f"runs target different parameters: {param1} vs {param2}")
+        raise ValueError(f"runs target different parameters: {param1} vs {param2}")
     if set(maes1) != set(maes2):
-        raise InputError("runs cover different oil sets; comparison undefined")
+        raise ValueError("runs cover different oil sets; comparison undefined")
     oils = sorted(maes1)
     runs = [("run1", dir1, [maes1[o] for o in oils]), ("run2", dir2, [maes2[o] for o in oils])]
     # The one-sided test asks whether sample 1 has the higher mean MAE, so the
@@ -283,7 +284,7 @@ def _read_parameter_table(path: Path) -> list[tuple[str, dict]]:
         need = ["oil_id"] + [p.value for p in dmod.PARAMETER_ORDER]
         missing = [c for c in need if c not in (reader.fieldnames or [])]
         if missing:
-            raise InputError(f"{path}: missing columns {missing}")
+            raise ValueError(f"{path}: missing columns {missing}")
         for row in reader:
             values = {}
             for p in dmod.PARAMETER_ORDER:
@@ -291,7 +292,7 @@ def _read_parameter_table(path: Path) -> list[tuple[str, dict]]:
                 values[p] = None if cell in ("", "-") else float(cell)
             rows.append((row["oil_id"], values))
     if not rows:
-        raise InputError(f"{path}: no data rows")
+        raise ValueError(f"{path}: no data rows")
     return rows
 
 
@@ -456,10 +457,10 @@ def main(argv=None) -> int:
     except EmptyResultError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_EMPTY
-    except (nn.DivergenceError, emod.FoldDivergedError, DivergedModelError) as e:
+    except nn.DivergenceError as e:
         print(f"error: training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (InputError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:  # genuinely unexpected

@@ -24,30 +24,6 @@ import numpy as np
 SUPPORTED_EXCITATIONS = (365, 395)
 
 
-class DimensionMismatchError(ValueError):
-    """Array lengths do not agree."""
-
-
-class DegenerateSpectrumError(ValueError):
-    """Spectrum has zero variance and cannot be normalized."""
-
-
-class LabelParseError(ValueError):
-    """A labels CSV row is malformed; carries the 1-based file line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class DuplicateOilError(ValueError):
-    """Two label rows share the same oil id."""
-
-
-class EmptyDatasetError(ValueError):
-    """An operation produced or received a dataset with no oils."""
-
-
 class Quality(Enum):
     """Regulatory quality grades, best to worst."""
 
@@ -127,7 +103,7 @@ class Spectrum:
     def __post_init__(self):
         x = _readonly(np.asarray(self.intensities, dtype=float))
         if x.ndim != 1 or x.size != len(self.grid):
-            raise DimensionMismatchError(
+            raise ValueError(
                 f"intensities length {x.size} != grid length {len(self.grid)}"
             )
         if self.excitation_nm not in SUPPORTED_EXCITATIONS:
@@ -183,7 +159,7 @@ class Dataset:
         object.__setattr__(self, "records", tuple(self.records))
         ids = [r.oil_id for r in self.records]
         if len(set(ids)) != len(ids):
-            raise DuplicateOilError("duplicate oil_id among records")
+            raise ValueError("duplicate oil_id among records")
         known = set(ids)
         counts: dict[str, int] = {i: 0 for i in ids}
         excitations = set()
@@ -234,7 +210,7 @@ def normalize(spectrum: Spectrum) -> Spectrum:
     x = spectrum.intensities
     std = float(x.std())  # population form; exact for the two-point case
     if std == 0.0:
-        raise DegenerateSpectrumError(f"constant spectrum for oil {spectrum.oil_id!r}")
+        raise ValueError(f"constant spectrum for oil {spectrum.oil_id!r}")
     z = (x - float(x.mean())) / std
     return replace(spectrum, intensities=z)
 
@@ -246,7 +222,7 @@ def _parse_cell(cell: str, name: str, line: int) -> Optional[float]:
     try:
         return float(cell)
     except ValueError:
-        raise LabelParseError(f"bad {name} value {cell!r}", line) from None
+        raise ValueError(f"line {line}: bad {name} value {cell!r}") from None
 
 
 def load_labels(path: str | Path) -> list[OilRecord]:
@@ -261,11 +237,11 @@ def load_labels(path: str | Path) -> list[OilRecord]:
         try:
             header = next(reader)
         except StopIteration:
-            raise LabelParseError("empty file", 1) from None
+            raise ValueError("line 1: empty file") from None
         header = [h.strip() for h in header]
         has_err = header == list(LABELS_HEADER) + ["exp_error"]
         if not has_err and header != list(LABELS_HEADER):
-            raise LabelParseError(f"unexpected header {header}", 1)
+            raise ValueError(f"line 1: unexpected header {header}")
         want = len(LABELS_HEADER) + (1 if has_err else 0)
 
         records: list[OilRecord] = []
@@ -274,24 +250,24 @@ def load_labels(path: str | Path) -> list[OilRecord]:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != want:
-                raise LabelParseError(f"expected {want} fields, got {len(row)}", line)
+                raise ValueError(f"line {line}: expected {want} fields, got {len(row)}")
             oil_id = row[0].strip()
             if not oil_id:
-                raise LabelParseError("empty oil_id", line)
+                raise ValueError(f"line {line}: empty oil_id")
             if oil_id in seen:
-                raise DuplicateOilError(f"duplicate oil_id {oil_id!r} at line {line}")
+                raise ValueError(f"duplicate oil_id {oil_id!r} at line {line}")
             seen.add(oil_id)
             vals = [_parse_cell(row[i], LABELS_HEADER[i], line) for i in range(1, 6)]
             qcell = row[6].strip()
             try:
                 quality = Quality(qcell)
             except ValueError:
-                raise LabelParseError(f"bad quality {qcell!r}", line) from None
+                raise ValueError(f"line {line}: bad quality {qcell!r}") from None
             exp_error = _parse_cell(row[7], "exp_error", line) if has_err else None
             try:
                 records.append(OilRecord(oil_id, *vals, quality=quality, exp_error=exp_error))
             except ValueError as e:
-                raise LabelParseError(str(e), line) from None
+                raise ValueError(f"line {line}: {e}") from None
     return records
 
 
@@ -311,7 +287,7 @@ def filter_for_parameter(dataset: Dataset, parameter: ParameterId) -> Dataset:
     """
     keep = {r.oil_id for r in dataset.records if r.has(parameter)}
     if not keep:
-        raise EmptyDatasetError(f"no oil has a value for {parameter.value}")
+        raise ValueError(f"no oil has a value for {parameter.value}")
     return replace(
         dataset,
         records=tuple(r for r in dataset.records if r.oil_id in keep),
@@ -362,12 +338,12 @@ def load_spectra(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise LabelParseError("empty spectra file", 1)
+            raise ValueError("line 1: empty spectra file")
         if header[:3] != ["oil_id", "excitation_nm", "repetition"] or len(header) != 3 + p:
-            raise LabelParseError("bad spectra header", 1)
+            raise ValueError("line 1: bad spectra header")
         for line, row in enumerate(reader, start=2):
             if len(row) != 3 + p:
-                raise LabelParseError(f"expected {3 + p} fields, got {len(row)}", line)
+                raise ValueError(f"line {line}: expected {3 + p} fields, got {len(row)}")
             spectra.append(Spectrum(
                 grid=grid,
                 intensities=np.array([float(v) for v in row[3:]]),
@@ -377,7 +353,7 @@ def load_spectra(
             ))
             reps[row[0]] = reps.get(row[0], 0) + 1
     if not spectra:
-        raise EmptyDatasetError("spectra file holds no rows")
+        raise ValueError("spectra file holds no rows")
     r = max(reps.values())
     present = set(reps)
     return Dataset(

@@ -32,17 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import (
-    Dataset,
-    DimensionMismatchError,
-    OilRecord,
-    ParameterId,
-    normalize,
-)
+from .data import Dataset, OilRecord, ParameterId, normalize
 from .nn import (
     DivergenceError,
-    EmptyBatchError,
     HyperParams,
+    ShapeError,
     build_network,
     forward,
     train,
@@ -50,22 +44,6 @@ from .nn import (
 from .seeding import derive_rng
 
 CHECKPOINT_KINDS = ("best_val_loss", "best_train_loss")
-
-
-class FoldError(RuntimeError):
-    """Training failed inside one fold; carries the held-out oil id."""
-
-    def __init__(self, oil_id: str, cause: BaseException):
-        super().__init__(f"fold {oil_id}: {cause}")
-        self.oil_id = oil_id
-        self.cause = cause
-
-    def __reduce__(self):  # rebuilt from both arguments when sent back by a worker
-        return type(self), (self.oil_id, self.cause)
-
-
-class FoldDivergedError(FoldError):
-    """A fold's training loss, MAE or predictions became non-finite."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +58,7 @@ class FoldResult:
     def __post_init__(self):
         if not (np.isfinite([self.mae_train, self.mae_val]).all()
                 and np.isfinite(self.predictions).all()):
-            raise FoldDivergedError(self.held_out_oil,
-                                    ArithmeticError("non-finite MAE or predictions"))
+            raise DivergenceError(f"fold {self.held_out_oil}: non-finite MAE or predictions")
         if self.mae_train < 0 or self.mae_val < 0:
             raise ValueError("MAE cannot be negative")
         if self.chosen_checkpoint not in CHECKPOINT_KINDS:
@@ -121,9 +98,9 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
-        raise DimensionMismatchError(f"pred {pred.shape} vs target {target.shape}")
+        raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
     if pred.size == 0:
-        raise EmptyBatchError("MAE of an empty batch")
+        raise ShapeError("MAE of an empty batch")
     return float(np.mean(np.abs(pred - target)))
 
 
@@ -156,30 +133,31 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed):
     rng = derive_rng(seed, "fold", hold)
     net = build_network(hp, x_tr.shape[1], rng)
 
-    snapshots = {
-        "best_val_loss": [np.inf, net.copy_parameters()],
-        "best_train_loss": [np.inf, net.copy_parameters()],
-    }
+    # (loss, epoch, parameters) per checkpoint kind; epoch -1 is the untrained net
+    snapshots = dict.fromkeys(CHECKPOINT_KINDS, (np.inf, -1, net.copy_parameters()))
 
     def keep_best(epoch, train_mse, val_mse, live):
-        if train_mse < snapshots["best_train_loss"][0]:
-            snapshots["best_train_loss"] = [train_mse, live.copy_parameters()]
-        if val_mse is not None and val_mse < snapshots["best_val_loss"][0]:
-            snapshots["best_val_loss"] = [val_mse, live.copy_parameters()]
+        for kind, loss in (("best_val_loss", val_mse), ("best_train_loss", train_mse)):
+            if loss is not None and loss < snapshots[kind][0]:
+                snapshots[kind] = (loss, epoch, live.copy_parameters())
 
     try:
         train(net, x_tr, y_tr, hp, rng, validation=(x_va, y_va), callbacks=[keep_best])
     except DivergenceError as e:
-        raise FoldDivergedError(hold, e) from e
-    except Exception as e:  # annotate with the fold id
-        raise FoldError(hold, e) from e
+        raise DivergenceError(f"fold {hold}: {e}") from e
+    except Exception as e:  # annotate with the fold id; a fault here is never an input error
+        raise RuntimeError(f"fold {hold}: {e}") from e
 
+    # snapshots of the same epoch hold the same parameters: score them once
+    scores = {}
     out = {}
     for kind in CHECKPOINT_KINDS:
-        net.set_parameters(snapshots[kind][1])
-        with np.errstate(over="ignore", invalid="ignore"):  # FoldResult rejects non-finite
-            pred_tr = forward(net, x_tr)
-            pred_va = forward(net, x_va)
+        _, epoch, params = snapshots[kind]
+        if epoch not in scores:
+            net.set_parameters(params)
+            with np.errstate(over="ignore", invalid="ignore"):  # FoldResult rejects non-finite
+                scores[epoch] = forward(net, x_tr), forward(net, x_va)
+        pred_tr, pred_va = scores[epoch]
         out[kind] = FoldResult(
             held_out_oil=hold,
             true_value=float(y_va[0]),

@@ -13,12 +13,7 @@ consumers (generator config, threshold set) do the typing.
 from __future__ import annotations
 
 from pathlib import Path
-
-
-class ConfigSyntaxError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+from typing import Collection
 
 
 def parse_kv(text: str) -> dict[str, str]:
@@ -28,14 +23,14 @@ def parse_kv(text: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigSyntaxError(f"expected 'key = value', got {raw.strip()!r}", lineno)
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigSyntaxError("empty key", lineno)
+            raise ValueError(f"line {lineno}: empty key")
         if key in out:
-            raise ConfigSyntaxError(f"duplicate key {key!r}", lineno)
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -46,6 +41,21 @@ def load_kv(path: str | Path) -> dict[str, str]:
 
 def dump_kv(entries: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in entries.items())
+
+
+def check_keys(keys: Collection[str], required: Collection[str] = (),
+               optional: Collection[str] = (), prefix: str = "") -> None:
+    """Reject ``keys`` that lack a ``required`` key or hold one outside both sets.
+
+    A misspelt key must not be dropped in silence.  Messages name each key
+    with ``prefix`` in front.
+    """
+    missing = [prefix + k for k in required if k not in keys]
+    if missing:
+        raise ValueError(f"missing config keys {missing}")
+    unknown = [prefix + k for k in keys if k not in required and k not in optional]
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
 
 
 def group_indexed(entries: dict[str, str], prefix: str) -> list[dict[str, str]]:

@@ -73,31 +73,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 
-class ShapeError(ValueError):
-    """Array shapes incompatible with the layer."""
-
-
-class ArchitectureError(ValueError):
-    """A layer in the composed network would produce an empty output."""
-
-
-class EmptyBatchError(ValueError):
-    """Loss of an empty batch is undefined."""
-
-
-class InternalConsistencyError(ValueError):
-    """Pool routing data does not fit its input (an argmax outside it)."""
+class ShapeError(RuntimeError):
+    """Arrays that do not fit where the program passes them: a bug, not bad input."""
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite; carries the epoch index."""
-
-    def __init__(self, epoch: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}")
-        self.epoch = epoch
-
-    def __reduce__(self):  # rebuilt from the epoch when sent back by a worker
-        return type(self), (self.epoch,)
+    """Training produced a non-finite loss, parameter or prediction."""
 
 
 ADAM_BETA1 = 0.9
@@ -327,7 +308,7 @@ def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_length: int
     if argmax.shape != grad_out.shape:
         raise ShapeError("argmax indices do not match gradient shape")
     if argmax.size and (argmax.min() < 0 or argmax.max() >= input_length):
-        raise InternalConsistencyError("argmax index outside the input")
+        raise ShapeError("argmax index outside the input")
     grad_x = np.zeros((grad_out.shape[0], input_length))
     np.put_along_axis(grad_x, argmax, grad_out, axis=1)
     return grad_x
@@ -379,7 +360,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ShapeError(f"pred {pred.shape} vs target {target.shape}")
     if pred.size == 0:
-        raise EmptyBatchError("MSE of an empty batch")
+        raise ShapeError("MSE of an empty batch")
     res = pred - target
     return float(np.mean(res * res)), 2.0 * res / pred.size
 
@@ -392,13 +373,13 @@ def network_shapes(hp: HyperParams, input_len: int) -> dict[str, int]:
     """Closed-form layer lengths; raises naming the first empty layer."""
     l1 = input_len - hp.ksize1 + 1
     if l1 < 1:
-        raise ArchitectureError(f"conv1: input {input_len} shorter than filter {hp.ksize1}")
+        raise ValueError(f"conv1: input {input_len} shorter than filter {hp.ksize1}")
     lp = l1 // hp.pool
     if lp < 1:
-        raise ArchitectureError(f"pool: length {l1} yields no full window of {hp.pool}")
+        raise ValueError(f"pool: length {l1} yields no full window of {hp.pool}")
     l2 = lp - hp.ksize2 + 1
     if l2 < 1:
-        raise ArchitectureError(f"conv2: length {lp} shorter than filter {hp.ksize2}")
+        raise ValueError(f"conv2: length {lp} shorter than filter {hp.ksize2}")
     return {
         "input": input_len, "conv1": l1, "pool": lp, "conv2": l2,
         "flatten": hp.filters2 * l2,
@@ -633,7 +614,7 @@ def train(
     if spectra.ndim != 2 or spectra.shape[0] != targets.shape[0]:
         raise ShapeError("spectra and targets disagree in length")
     if spectra.shape[0] == 0:
-        raise EmptyBatchError("nothing to train on")
+        raise ShapeError("nothing to train on")
     _check_batch(net, spectra)
 
     n_total = spectra.shape[0]
@@ -665,7 +646,7 @@ def train(
                 val_mse, _ = mse_loss(_infer(net, validation[0]), validation[1])
         train_mse = sq_sum / n_total
         if not np.isfinite(train_mse):
-            raise DivergenceError(epoch)
+            raise DivergenceError(f"non-finite training loss at epoch {epoch}")
         trace.append(EpochRecord(epoch, train_mse, val_mse))
         for cb in callbacks:
             cb(epoch, train_mse, val_mse, net)
@@ -721,7 +702,12 @@ def load_network(path: str | Path) -> Network:
     meta = json.loads(raw[10:10 + hlen].decode())
     if not isinstance(meta, dict) or not {"hyperparams", "input_len"} <= meta.keys():
         raise ValueError("checkpoint header lacks hyperparams or input_len")
-    hp = HyperParams.from_dict(meta["hyperparams"])
+    try:
+        hp = HyperParams.from_dict(meta["hyperparams"])
+    except TypeError as e:  # an unknown key or a value of the wrong type
+        raise ValueError(f"checkpoint hyperparams are malformed: {e}") from None
+    if not isinstance(meta["input_len"], int):
+        raise ValueError(f"checkpoint input_len {meta['input_len']!r} is not an integer")
     net = build_network(hp, meta["input_len"], np.random.default_rng(0))
     off = 10 + hlen
     if len(raw) != off + 8 * net.num_parameters():

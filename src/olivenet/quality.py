@@ -18,10 +18,6 @@ from .data import OilRecord, ParameterId, PARAMETER_ORDER, Quality
 from . import kvconfig
 
 
-class InsufficientDataError(ValueError):
-    """No parameter values available to grade."""
-
-
 #: How to treat a missing parameter that has a limit at the grade being
 #: checked.  ``strict``: the grade cannot be awarded (an unmeasured
 #: parameter cannot certify compliance).  ``cap_voo``: skip the check but
@@ -90,9 +86,9 @@ def classify(record: OilRecord | dict[ParameterId, Optional[float]],
     else:
         values = {p: record.get(p) for p in PARAMETER_ORDER}
     if all(v is None for v in values.values()):
-        raise InsufficientDataError("no parameter values to grade")
+        raise ValueError("no parameter values to grade")
     if values[ParameterId.ACIDITY] is None:
-        raise InsufficientDataError("acidity is required for grading")
+        raise ValueError("acidity is required for grading")
 
     unevaluated = tuple(p for p in PARAMETER_ORDER if values[p] is None)
     strict = thresholds.missing_policy == "strict"
@@ -115,6 +111,9 @@ def classify(record: OilRecord | dict[ParameterId, Optional[float]],
 # ---------------------------------------------------------------------------
 
 def thresholds_from_entries(entries: dict[str, str]) -> ThresholdSet:
+    kvconfig.check_keys(entries, optional=["missing_policy"] + [
+        f"{grade}.{p.value}" for grade in ("evoo", "voo") for p in PARAMETER_ORDER])
+
     def table(prefix: str) -> dict[ParameterId, Optional[float]]:
         out: dict[ParameterId, Optional[float]] = {}
         for p in PARAMETER_ORDER:

@@ -26,17 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DimensionMismatchError
-
-
-class InsufficientSamplesError(ValueError):
-    """Fewer oils than the formulas admit."""
-
-
-class DegenerateVarianceError(ValueError):
-    """Zero pooled deviation with unequal means; T is undefined."""
-
-
 @dataclass(frozen=True)
 class TTestReport:
     mean1: float
@@ -63,7 +52,7 @@ def pooled_sd(var1: float, var2: float, n_oil: int) -> float:
     With equal sizes the weights collapse and S_P = sqrt((var1 + var2)/2).
     """
     if n_oil < 2:
-        raise InsufficientSamplesError("pooled deviation needs n_oil >= 2")
+        raise ValueError("pooled deviation needs n_oil >= 2")
     if var1 < 0 or var2 < 0:
         raise ValueError("variances must be nonnegative")
     dof = 2 * n_oil - 2
@@ -73,13 +62,13 @@ def pooled_sd(var1: float, var2: float, n_oil: int) -> float:
 def t_statistic(mean1: float, mean2: float, s_p: float, n_oil: int) -> float:
     """Signed statistic (mean1 - mean2) / (S_P * sqrt(2/n_oil))."""
     if n_oil < 2:
-        raise InsufficientSamplesError("t statistic needs n_oil >= 2")
+        raise ValueError("t statistic needs n_oil >= 2")
     if s_p < 0:
         raise ValueError("pooled deviation must be nonnegative")
     if s_p == 0.0:
         if mean1 == mean2:
             return 0.0
-        raise DegenerateVarianceError("zero dispersion but unequal means")
+        raise ValueError("zero dispersion but unequal means")
     return (mean1 - mean2) / (s_p * math.sqrt(2.0 / n_oil))
 
 
@@ -188,10 +177,10 @@ def compare_configs(
     a1 = np.asarray(mae_list_1, dtype=float)
     a2 = np.asarray(mae_list_2, dtype=float)
     if a1.shape != a2.shape or a1.ndim != 1:
-        raise DimensionMismatchError(f"MAE lists disagree: {a1.shape} vs {a2.shape}")
+        raise ValueError(f"MAE lists disagree: {a1.shape} vs {a2.shape}")
     n = a1.size
     if n < 2:
-        raise InsufficientSamplesError("need at least 2 folds per run")
+        raise ValueError("need at least 2 folds per run")
     mean1, mean2 = float(a1.mean()), float(a2.mean())
     var1, var2 = float(a1.var(ddof=1)), float(a2.var(ddof=1))
     s_p = pooled_sd(var1, var2, n)

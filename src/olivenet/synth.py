@@ -19,7 +19,6 @@ import numpy as np
 from .seeding import derive_rng
 from .data import (
     Dataset,
-    EmptyDatasetError,
     OilRecord,
     ParameterId,
     Spectrum,
@@ -27,10 +26,6 @@ from .data import (
     WavelengthGrid,
 )
 from . import kvconfig
-
-
-class UnsupportedExcitationError(ValueError):
-    """Requested excitation wavelength has no LED in the sensor."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +138,7 @@ def generate_spectrum(
     for bit.
     """
     if excitation_nm not in SUPPORTED_EXCITATIONS:
-        raise UnsupportedExcitationError(f"no LED at {excitation_nm} nm")
+        raise ValueError(f"no LED at {excitation_nm} nm")
     if not any(record.has(p) for p in ParameterId):
         raise ValueError(f"record {record.oil_id!r} has no parameter values")
     lam = grid.values
@@ -174,7 +169,7 @@ def generate_dataset(
 ) -> Dataset:
     """Generate ``repetitions`` spectra for every record."""
     if not records:
-        raise EmptyDatasetError("no records to generate from")
+        raise ValueError("no records to generate from")
     if repetitions < 1:
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     spectra = [
@@ -195,8 +190,12 @@ def generate_dataset(
 # ---------------------------------------------------------------------------
 
 def config_from_entries(entries: dict[str, str], seed: int | None = None) -> GeneratorConfig:
+    kvconfig.check_keys([k for k in entries if not k.startswith(("peak.", "coupling."))],
+                        optional=("seed", "noise_sigma", "resolution_px"))
     peaks = []
-    for g in kvconfig.group_indexed(entries, "peak"):
+    for i, g in enumerate(kvconfig.group_indexed(entries, "peak")):
+        kvconfig.check_keys(g, ("center_nm", "width_nm", "base_amplitude", "excitations"),
+                            prefix=f"peak.{i}.")
         peaks.append(PeakSpec(
             center_nm=float(g["center_nm"]),
             width_nm=float(g["width_nm"]),
@@ -204,7 +203,9 @@ def config_from_entries(entries: dict[str, str], seed: int | None = None) -> Gen
             excitation_set=frozenset(int(t) for t in g["excitations"].split(",")),
         ))
     couplings = []
-    for g in kvconfig.group_indexed(entries, "coupling"):
+    for i, g in enumerate(kvconfig.group_indexed(entries, "coupling")):
+        kvconfig.check_keys(g, ("parameter", "target"), ("amplitude_gain", "shift_gain"),
+                            prefix=f"coupling.{i}.")
         couplings.append(ParameterCoupling(
             parameter=ParameterId(g["parameter"]),
             target=int(g["target"]),

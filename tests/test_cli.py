@@ -73,6 +73,14 @@ class TestGenerate:
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_generator_config_missing_key_exit_2(self, tmp_path, capsys):
+        bundled = dmod.bundled_labels_path().with_name("generator_default.cfg").read_text()
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(bundled.replace("peak.0.width_nm = 12.0\n", ""))
+        assert run(["generate", "--gen-config", cfg, "--pixels", 64,
+                    "--out", tmp_path / "x"]) == 2
+        assert "error: missing config keys ['peak.0.width_nm']" in capsys.readouterr().err
+
     def test_manifest_fields(self, dataset_dir):
         meta = json.loads((dataset_dir / "manifest.json").read_text())
         assert meta["command"] == "generate"
@@ -256,6 +264,15 @@ class TestClassify:
         for rec in dmod.load_bundled_labels():
             assert rows[rec.oil_id] == rec.quality.value
 
+    def test_misspelt_threshold_key_exit_2(self, tmp_path, capsys):
+        # read as written, the file would drop the EVOO acidity limit
+        bundled = dmod.bundled_labels_path().with_name("thresholds_default.cfg").read_text()
+        cfg = tmp_path / "thresholds.cfg"
+        cfg.write_text(bundled.replace("evoo.acidity", "evoo.acidty"))
+        assert run(["classify", "--input", dmod.bundled_labels_path(),
+                    "--thresholds", cfg]) == 2
+        assert "error: unknown config keys ['evoo.acidty']" in capsys.readouterr().err
+
     def test_writes_verdicts_csv(self, tmp_path):
         out = tmp_path / "v"
         assert run(["classify", "--input", dmod.bundled_labels_path(),
@@ -284,6 +301,32 @@ class TestReport:
     def test_incomplete_dir_skipped_with_warning(self, loocv_dir, tmp_path, capsys):
         assert run(["report", tmp_path / "ghost", loocv_dir]) == 0
         assert "skipping incomplete" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """The exception's type alone decides the code: a fault is 1, bad input 2."""
+
+    @staticmethod
+    def argv(command, dataset_dir, out):
+        quick = LOOCV_QUICK if command == "loocv" else LOOCV_QUICK[:-2]
+        return [command, "--data", dataset_dir, "--parameter", "acidity",
+                "--out", out] + quick
+
+    @pytest.mark.parametrize("command", ["train", "loocv"])
+    def test_shape_fault_exits_1(self, dataset_dir, tmp_path, monkeypatch, capsys, command):
+        def faulty_step(*args):
+            raise nn.ShapeError("planted fault")
+
+        monkeypatch.setattr(nn, "_train_step", faulty_step)
+        assert run(self.argv(command, dataset_dir, tmp_path / "o")) == cli.EXIT_INTERNAL == 1
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and "planted fault" in err
+
+    @pytest.mark.parametrize("command", ["train", "loocv"])
+    def test_impossible_architecture_exits_2(self, dataset_dir, tmp_path, capsys, command):
+        argv = self.argv(command, dataset_dir, tmp_path / "o") + ["--ksize1", 2000]
+        assert run(argv) == cli.EXIT_INPUT == 2
+        assert capsys.readouterr().err == "error: conv1: input 96 shorter than filter 2000\n"
 
 
 class TestHyperparameterFlags:

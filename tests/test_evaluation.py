@@ -6,7 +6,7 @@ import pytest
 from olivenet import data as dmod
 from olivenet import evaluation as emod
 from olivenet import synth
-from olivenet.data import DimensionMismatchError, OilRecord, ParameterId, Quality
+from olivenet.data import OilRecord, ParameterId, Quality
 from olivenet.evaluation import (
     CvSummary,
     FoldResult,
@@ -18,7 +18,7 @@ from olivenet.evaluation import (
     select_checkpoint,
     summary_to_json,
 )
-from olivenet.nn import EmptyBatchError, HyperParams
+from olivenet.nn import DivergenceError, HyperParams, ShapeError
 
 
 QUICK_HP = HyperParams(filters1=2, filters2=2, ksize1=9, ksize2=3, pool=4,
@@ -55,9 +55,9 @@ class TestMae:
             assert mae(pred, target) <= np.sqrt(mse) + 1e-12
 
     def test_errors(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(ShapeError, match="MAE of an empty batch"):
             mae(np.array([]), np.array([]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeError, match=r"pred \(3,\) vs target \(4,\)"):
             mae(np.ones(3), np.ones(4))
 
 
@@ -188,7 +188,7 @@ class TestFoldResult:
         (0.1, 0.1, (1.0, np.nan)),
     ])
     def test_non_finite_values_rejected(self, mae_train, mae_val, preds):
-        with pytest.raises(emod.FoldDivergedError, match="O01"):
+        with pytest.raises(DivergenceError, match="^fold O01: non-finite MAE or predictions$"):
             FoldResult("O01", 1.0, mae_train, mae_val, preds, "best_val_loss")
 
 

@@ -6,12 +6,9 @@ import pytest
 from conftest import TOY_HP, TOY_P, finite_difference, train_step
 from olivenet import nn
 from olivenet.nn import (
-    ArchitectureError,
     Conv1DLayer,
     DenseLayer,
-    EmptyBatchError,
     HyperParams,
-    InternalConsistencyError,
     ShapeError,
     build_network,
     conv1d_backward,
@@ -163,7 +160,7 @@ class TestMaxPool:
         assert not g.any()
 
     def test_backward_bad_index(self):
-        with pytest.raises(InternalConsistencyError):
+        with pytest.raises(ShapeError, match="argmax index outside the input"):
             maxpool_backward(np.ones((1, 1)), np.array([[5]]), 4)
 
     def test_positions_after_last_window_zero(self, rng):
@@ -264,7 +261,7 @@ class TestMseLoss:
                                    rtol=1e-7, atol=1e-10)
 
     def test_empty_batch(self):
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(ShapeError, match="MSE of an empty batch"):
             mse_loss(np.array([]), np.array([]))
 
 
@@ -275,7 +272,7 @@ class TestBuildNetwork:
                           "flatten": 416, "dense1": 16, "dense2": 8, "output": 1}
 
     def test_degenerate_pool_raises_with_layer_name(self):
-        with pytest.raises(ArchitectureError, match="pool"):
+        with pytest.raises(ValueError, match="^pool: length 1 yields no full window of 8$"):
             network_shapes(HyperParams(), 40)  # conv1 -> 1, pool 8 -> 0
 
     def test_equal_seeds_equal_weights(self):

@@ -2,7 +2,6 @@ import pytest
 
 from olivenet.data import OilRecord, ParameterId, Quality
 from olivenet.quality import (
-    InsufficientDataError,
     QualityVerdict,
     ThresholdSet,
     classify,
@@ -72,13 +71,13 @@ class TestDecisionSequence:
         assert forward_order.unevaluated == backward.unevaluated
 
     def test_all_absent_is_an_error(self, thresholds):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="no parameter values to grade"):
             classify({p: None for p in ParameterId}, thresholds)
 
     def test_acidity_required(self, thresholds):
         vals = {p: None for p in ParameterId}
         vals[ParameterId.PEROXIDE] = 5.0
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="acidity is required for grading"):
             classify(vals, thresholds)
 
     def test_unevaluated_parameters_recorded(self, thresholds):

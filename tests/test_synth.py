@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from olivenet import data as dmod
-from olivenet.data import EmptyDatasetError, OilRecord, ParameterId, Quality
+from olivenet.data import OilRecord, ParameterId, Quality
 from olivenet import synth
 from olivenet.synth import (
     GeneratorConfig,
     ParameterCoupling,
     PeakSpec,
-    UnsupportedExcitationError,
     apply_instrument_response,
     generate_dataset,
     generate_spectrum,
@@ -109,7 +108,7 @@ class TestGenerateSpectrum:
         assert without.intensities[i525] < 1e-6
 
     def test_unsupported_excitation(self):
-        with pytest.raises(UnsupportedExcitationError):
+        with pytest.raises(ValueError, match="no LED at 340 nm"):
             generate_spectrum(record(), 340, 1, simple_config(), GRID)
 
     def test_record_without_values_rejected(self):
@@ -160,7 +159,7 @@ class TestGenerateDataset:
         assert ds.n_spectra == ds.n_oil == 5
 
     def test_empty_records(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ValueError, match="no records to generate from"):
             generate_dataset([], 395, 20, simple_config(), GRID)
 
     def test_order_independent_substreams(self, bundled_records):
