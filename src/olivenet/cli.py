@@ -224,7 +224,12 @@ def _read_fold_csv(run_dir: Path) -> tuple[str, dict[str, float]]:
     by_oil: dict[str, float] = {}
     parameter = None
     with path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")  # a short row fails float(), as bad input
+        missing = sorted({"parameter", "held_out_oil", "mae_val"}
+                         - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
+        for row in reader:
             parameter = row["parameter"]
             by_oil[row["held_out_oil"]] = float(row["mae_val"])
     if not by_oil:
@@ -325,6 +330,25 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+#: The keys of ``summary.json`` that ``report`` reads, and those of each fold.
+_SUMMARY_KEYS = ("parameter", "mean_mae_train", "sd_mae_train", "mean_mae_val", "sd_mae_val",
+                 "average_error_pct", "label_error_pct", "leakage_ratio", "folds")
+_FOLD_KEYS = ("held_out_oil", "predictions")
+
+
+def _read_summary(run: Path) -> dict:
+    """A run's ``summary.json``, checked for the keys that ``report`` reads."""
+    s = json.loads((run / "summary.json").read_text(encoding="utf-8"))
+    if not isinstance(s, dict):
+        raise ValueError(f"{run}: summary.json is not a JSON object")
+    missing = [k for k in _SUMMARY_KEYS if k not in s]
+    missing += sorted({f"folds[].{k}" for f in s.get("folds", ()) for k in _FOLD_KEYS
+                       if not isinstance(f, dict) or k not in f})
+    if missing:
+        raise ValueError(f"{run}: summary.json lacks {', '.join(missing)}")
+    return s
+
+
 def cmd_report(args) -> int:
     completed = []
     for d in args.runs:
@@ -336,8 +360,7 @@ def cmd_report(args) -> int:
     if not completed:
         raise EmptyResultError("no completed run directories")
 
-    summaries = [json.loads((r / "summary.json").read_text(encoding="utf-8"))
-                 for r in completed]
+    summaries = [_read_summary(r) for r in completed]
 
     def cell(v, spec="{:.3g}"):
         return "-" if v is None else spec.format(v)

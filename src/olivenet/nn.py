@@ -37,17 +37,25 @@ gives the same bits, but importing it more than doubles the start-up of
 every ``olivenet`` command.  Conv1 transforms the whole input unpadded.
 Conv2 pads its transforms to the next power of two at or above the pooled
 length (128 for 123 positions), which measured faster than the nearest
-11-smooth length at both pool sizes of the tuning grid.
+11-smooth length at both pool sizes of the tuning grid.  Its channel sums,
+forward and backward, are batched ``np.matmul`` products with the frequency
+axis leading, which beat ``einsum``'s complex loops at these sizes.  The
+conv1 filter gradient keeps ``einsum``: there it is one batched dot, and
+matmul measured no faster.
 
 The batched engine has two paths:
 
 * the training step (``_train_step``) runs one mini-batch: the forward
   pass, the MSE gradient and the backward pass in one scope, so what the
   backward pass needs, such as the first-occurrence argmax of every pool
-  window, stays in plain locals.  It writes each of the two buffers that
-  ``train`` reuses across batches twice: the conv1 map goes into ``g1``,
-  which holds the conv1 map gradient only after pooling, and the spectrum
-  of that gradient into ``spec``, dead once the map exists.  Freshly
+  window, stays in plain locals.  It pools (``_pool_argmax``) through an
+  offset-major copy of the conv1 map, (B, C1, pool, L), where the window
+  max and the first maximum's index are reductions over a middle axis, and
+  one flat index into the map routes the gradient back.  The two buffers
+  that ``train`` reuses across batches do double and triple duty: the conv1
+  map goes into ``g1``, which holds the conv1 map gradient only after
+  pooling; ``spec`` holds the conv1 spectra, then, once the map exists, the
+  pooling's window copy, then the spectrum of the map gradient.  Freshly
   allocated, these conv1-map-sized arrays would be handed back to the OS by
   glibc and faulted in again at every batch;
 * the inference pass (``_infer``), behind ``forward`` and the validation
@@ -70,7 +78,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(RuntimeError):
@@ -443,12 +450,16 @@ def _conv1_map(net: Network, fx: np.ndarray, spec: np.ndarray,
 
 
 def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conv2 over the pooled maps; returns (rfft of x2, pre-activation map)."""
+    """conv2 over the pooled maps; returns (rfft of x2, pre-activation map).
+
+    The rfft comes back frequency-leading, (F, B, C1), the layout of the
+    batched matmuls that contract conv2's channels here and in the step.
+    """
     _, n2 = _fft_sizes(net)
-    fx2 = np.fft.rfft(x2, n=n2)
-    spec2 = np.einsum("bjf,cjf->bcf", fx2, np.conj(np.fft.rfft(net.conv2.filters, n=n2)))
-    spec2[:, :, 0] += n2 * net.conv2.biases
-    return fx2, np.fft.irfft(spec2, n=n2)[:, :, :net.shapes["conv2"]]
+    fx2 = np.fft.rfft(x2, n=n2).transpose(2, 0, 1)
+    spec2 = fx2 @ np.conj(np.fft.rfft(net.conv2.filters, n=n2)).transpose(2, 1, 0)
+    spec2[0] += n2 * net.conv2.biases
+    return fx2, np.fft.irfft(spec2.transpose(1, 2, 0), n=n2)[:, :, :net.shapes["conv2"]]
 
 
 def _dense_head(net: Network, flat: np.ndarray):
@@ -483,6 +494,31 @@ def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     return pred
 
 
+def _pool_argmax(v1: np.ndarray, pool: int, lp: int, buf: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Max pooling of the maps ``v1`` (B, C, n) into (B, C, lp) windows.
+
+    Returns the window maxima and, for each window, the flat index into
+    ``v1`` of its first maximum, as ``maxpool_forward`` picks it.  ``buf``
+    is flat float64 room for B*C*lp*pool values: the windows are copied into
+    it offset-major, (B, C, pool, lp), so that both reductions run over a
+    middle axis, which numpy does elementwise across whole rows, where
+    ``argmax`` along a short last axis loops window by window.
+    """
+    b, c, n = v1.shape
+    lpp = lp * pool
+    win = buf[:b * c * lpp].reshape(b, c, pool, lp)
+    np.copyto(win, v1[:, :, :lpp].reshape(b, c, lp, pool).transpose(0, 1, 3, 2))
+    top = win.max(axis=2)
+    # Offset k weighs pool-1-k where it holds the max, so the largest weight
+    # marks the first occurrence.  A NaN window matches nowhere and routes
+    # to its last offset, still inside the window.
+    weight = (pool - 1 - np.arange(pool, dtype=np.min_scalar_type(pool - 1)))[:, None]
+    rel = (pool - 1) - ((win == top[:, :, None, :]) * weight).max(axis=2)
+    start = np.arange(0, b * c * n, n)[:, None] + np.arange(0, lpp, pool)
+    return top, start.reshape(b, c, lp) + rel
+
+
 def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
                 rng: Optional[np.random.Generator], spec: np.ndarray, g1: np.ndarray):
     """One mini-batch step; returns (pred, grads), grads keyed like net.parameters().
@@ -494,17 +530,15 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
     """
     n = fx.shape[0]
     lp, l2 = net.shapes["pool"], net.shapes["conv2"]
-    c1, pool, k1, k2 = net.hp.filters1, net.hp.pool, net.hp.ksize1, net.hp.ksize2
+    pool, k1, k2 = net.hp.pool, net.hp.ksize1, net.hp.ksize2
     n1, n2 = _fft_sizes(net)
     rate = net.hp.dropout
     spec, g1 = spec[:n], g1[:n]
 
-    # the conv1 map lives in g1, whose gradient role starts after pooling
+    # the conv1 map lives in g1, whose gradient role starts after pooling;
+    # spec, dead once the map exists, holds the pooling's window copy
     v1 = _conv1_map(net, fx, spec, out=g1)
-    st = v1.strides
-    win = as_strided(v1, (n, c1, lp, pool), (st[0], st[1], st[2] * pool, st[2]))
-    rel = win.argmax(axis=3)
-    x2 = np.take_along_axis(win, rel[..., None], axis=3)[..., 0]
+    x2, fidx = _pool_argmax(v1, pool, lp, spec.view(float).reshape(-1))
     np.maximum(x2, 0.0, out=x2)
 
     fx2, y2 = _conv2(net, x2)
@@ -524,17 +558,18 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
     gflat = gd1 @ net.dense1.weights * keep / (1.0 - rate)
 
     gy2 = gflat.reshape(n, net.hp.filters2, l2) * (y2 > 0)
-    fg2 = np.fft.rfft(gy2, n=n2)
+    fg2 = np.fft.rfft(gy2, n=n2).transpose(2, 0, 1)  # (F, B, C2), like fx2
     d_f2 = np.fft.irfft(
-        np.conj(np.einsum("bjf,bcf->cjf", np.conj(fx2), fg2)), n=n2)[:, :, :k2]
+        (np.conj(fg2).transpose(0, 2, 1) @ fx2).transpose(1, 2, 0), n=n2)[:, :, :k2]
     d_cb2 = gy2.sum(axis=(0, 2))
     gx2 = np.fft.irfft(
-        np.einsum("bcf,cjf->bjf", fg2, np.fft.rfft(net.conv2.filters, n=n2)), n=n2)[:, :, :lp]
+        (fg2 @ np.fft.rfft(net.conv2.filters, n=n2).transpose(2, 0, 1)).transpose(1, 2, 0),
+        n=n2)[:, :, :lp]
 
     # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing
     geff = gx2 * (x2 > 0)
-    g1.fill(0.0)  # win now views the zeroed conv1 map gradient
-    np.put_along_axis(win, rel[..., None], geff[..., None], axis=3)
+    g1.fill(0.0)
+    np.put(g1, fidx, geff)  # fidx indexes v1, whose memory g1 now holds
     fg1 = np.fft.rfft(g1, n=n1, out=spec)
     d_f1 = np.fft.irfft(
         np.conj(np.einsum("bjf,bcf->cjf", np.conj(fx[:, None, :]), fg1)), n=n1)[:, :, :k1]

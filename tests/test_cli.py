@@ -255,6 +255,12 @@ class TestCompare:
                     "--seed", 3, "--out", out] + LOOCV_QUICK) == 0
         assert run(["compare", "--run1", loocv_dir, "--run2", out]) == 2
 
+    def test_folds_csv_without_parameter_column_exit_2(self, tmp_path, capsys):
+        (tmp_path / "folds.csv").write_text("held_out_oil,mae_val\noil01,0.1\noil02,0.2\n")
+        assert run(["compare", "--run1", tmp_path, "--run2", tmp_path]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / 'folds.csv'} lacks the column(s) parameter\n"
+
 
 class TestClassify:
     def test_bundled_labels_match_quality_column(self, tmp_path, capsys):
@@ -301,6 +307,16 @@ class TestReport:
     def test_incomplete_dir_skipped_with_warning(self, loocv_dir, tmp_path, capsys):
         assert run(["report", tmp_path / "ghost", loocv_dir]) == 0
         assert "skipping incomplete" in capsys.readouterr().err
+
+    def test_summary_without_table_keys_exit_2(self, tmp_path, capsys):
+        (tmp_path / "summary.json").write_text(json.dumps(
+            {"parameter": "acidity", "folds": [{"held_out_oil": "oil01"}]}))
+        (tmp_path / "scatter.csv").write_text("")
+        assert run(["report", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}: summary.json lacks mean_mae_train, sd_mae_train, "
+            "mean_mae_val, sd_mae_val, average_error_pct, label_error_pct, "
+            "leakage_ratio, folds[].predictions\n")
 
 
 class TestExitCodes:

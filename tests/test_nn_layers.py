@@ -186,6 +186,49 @@ class TestMaxPool:
                                        rtol=1e-4, atol=1e-7)
 
 
+def planted_maps(rng, b, c, lp, pool):
+    """Random (b, c, n) maps whose last pool-1 values fill no window.
+
+    Planted: channel 1 is all-negative, channel 2's first window is all
+    -1.0, and every window of channel 0 holds its max twice, at offsets 0
+    and pool-1 in the first window, where the tie rule's weight is largest.
+    """
+    v1 = rng.standard_normal((b, c, lp * pool + pool - 1))
+    v1[:, 1] = -np.abs(v1[:, 1]) - 0.1
+    v1[:, 2, :pool] = -1.0
+    if pool > 1:
+        win = v1[:, 0, :lp * pool].reshape(b, lp, pool)
+        for i in range(b):
+            for p in range(lp):
+                ties = [0, pool - 1] if p == 0 else rng.choice(pool, 2, replace=False)
+                win[i, p, ties] = 10.0 + i + p
+    return v1
+
+
+class TestStepPooling:
+    """``nn._pool_argmax``, the training step's pooling, against ``maxpool_forward``."""
+
+    @pytest.mark.parametrize("pool", [1, 2, 8, 16, 130])
+    def test_bitwise_equal_to_contract_op(self, pool, rng):
+        b, c, lp = 3, 4, 5
+        v1 = planted_maps(rng, b, c, lp, pool)
+        buf = np.full(b * c * lp * pool + 7, np.nan)
+        top, fidx = nn._pool_argmax(v1, pool, lp, buf)
+        rows, chans, pos = np.unravel_index(fidx, v1.shape)
+        for i in range(b):
+            pooled, idx = maxpool_forward(v1[i], pool)
+            assert np.array_equal(top[i], pooled)
+            assert np.array_equal(pos[i], idx)
+            assert (rows[i] == i).all() and (chans[i] == np.arange(c)[:, None]).all()
+        if pool > 1:  # the tie planted at offsets 0 and pool-1 goes to 0
+            assert (pos[:, 0, 0] == 0).all()
+
+    def test_nan_window_routes_inside_itself(self):
+        # a diverged run pools NaN maps; their index must stay in bounds
+        _, fidx = nn._pool_argmax(np.full((1, 2, 8), np.nan), 4, 2, np.empty(16))
+        assert np.array_equal(fidx // 4, [[[0, 1], [2, 3]]])
+
+
 class TestDense:
     def test_identity_layer(self):
         layer = DenseLayer(np.eye(4), np.zeros(4), "identity")
@@ -358,6 +401,46 @@ class TestNetworkForward:
             forward(toy_net, np.ones(TOY_P + 1))
 
 
+def contract_step(net, xs, ys):
+    """(pred, MSE gradients) of a batch, sample by sample through the contract ops."""
+    preds = np.array([scalar_network_forward(net, x) for x in xs])
+    _, gl = mse_loss(preds, ys)
+    ref = {k: np.zeros_like(v) for k, v in net.parameters().items()}
+
+    def add(prefix, gw, gb):
+        ref[prefix + (".filters" if prefix.startswith("conv") else ".weights")] += gw
+        ref[prefix + ".biases"] += gb
+
+    for x, g in zip(xs, gl):
+        h1 = conv1d_forward(x, net.conv1)
+        pooled, idx = maxpool_forward(np.maximum(h1, 0.0), net.hp.pool)
+        h2 = conv1d_forward(pooled, net.conv2)
+        flat = np.maximum(h2, 0.0).reshape(-1)
+        a1 = dense_forward(flat, net.dense1)
+        a2 = dense_forward(a1, net.dense2)
+        ga2, gw, gb = dense_backward(np.array([g]), a2, net.output)
+        add("output", gw, gb)
+        ga1, gw, gb = dense_backward(ga2, a1, net.dense2)
+        add("dense2", gw, gb)
+        gflat, gw, gb = dense_backward(ga1, flat, net.dense1)
+        add("dense1", gw, gb)
+        gp, gw, gb = conv1d_backward(gflat.reshape(h2.shape) * (h2 > 0), pooled, net.conv2)
+        add("conv2", gw, gb)
+        g1 = maxpool_backward(gp, idx, h1.shape[1]) * (h1 > 0)
+        _, gw, gb = conv1d_backward(g1, x, net.conv1)
+        add("conv1", gw, gb)
+    return preds, ref
+
+
+def assert_step_matches(step, want_pred, want):
+    """The engine's step agrees with the contract ops to 1e-10."""
+    pred, grads = step
+    np.testing.assert_allclose(pred, want_pred, rtol=1e-10, atol=1e-12)
+    for key, w in want.items():
+        np.testing.assert_allclose(grads[key], w, rtol=1e-10,
+                                   atol=1e-10 * np.abs(w).max(), err_msg=key)
+
+
 class TestCompositeGradient:
     @pytest.mark.parametrize("p", [TOY_P, 68, 70])  # pooled lengths 30, 32, 33
     def test_full_network_gradient_vs_finite_differences(self, p, rng):
@@ -380,51 +463,43 @@ class TestCompositeGradient:
                 grads[key], fd, rtol=1e-4, atol=1e-7,
                 err_msg=f"gradient mismatch for {key}")
 
-    def test_ties_and_negative_pool_windows_match_contract_ops(self, rng):
+    # at P=64, pool 16 leaves 3 windows and this network's head dead: P=128
+    @pytest.mark.parametrize("pool, p", [(4, TOY_P), (16, 2 * TOY_P)])
+    def test_ties_and_negative_pool_windows_match_contract_ops(self, pool, p, rng):
         # Zero conv1 filters give constant channels, exact through the FFT:
         # channel 0 (bias 0.5) ties in every pool window, channel 1 (bias
         # -0.5) has only all-negative windows, channel 2 is a random filter.
-        hp = HyperParams(filters1=3, filters2=2, ksize1=5, ksize2=3, pool=4,
+        hp = HyperParams(filters1=3, filters2=2, ksize1=5, ksize2=3, pool=pool,
                          dropout=0.0, dense_sizes=(6, 4))
-        net = build_network(hp, TOY_P, np.random.default_rng(21))
+        net = build_network(hp, p, np.random.default_rng(21))
         net.conv1.filters[:2] = 0.0
         net.conv1.biases[:] = [0.5, -0.5, 0.1]
-        xs = rng.standard_normal((3, TOY_P))
+        xs = rng.standard_normal((3, p))
         ys = rng.standard_normal(3)
-        pred, grads = train_step(net, xs, ys)
-        _, gl = mse_loss(pred, ys)
-
-        ref = {k: np.zeros_like(v) for k, v in net.parameters().items()}
-
-        def add(prefix, gw, gb):
-            ref[prefix + (".filters" if prefix.startswith("conv") else ".weights")] += gw
-            ref[prefix + ".biases"] += gb
-
-        for x, g, p in zip(xs, gl, pred):
-            h1 = conv1d_forward(x, net.conv1)
-            pooled, idx = maxpool_forward(np.maximum(h1, 0.0), hp.pool)
+        for x in xs:
+            pooled, idx = maxpool_forward(np.maximum(conv1d_forward(x, net.conv1), 0.0), pool)
             assert (pooled[0] == 0.5).all() and (pooled[1] == 0.0).all()
-            assert (idx[0] % hp.pool == 0).all()  # ties go to the first occurrence
-            h2 = conv1d_forward(pooled, net.conv2)
-            flat = np.maximum(h2, 0.0).reshape(-1)
-            a1 = dense_forward(flat, net.dense1)
-            a2 = dense_forward(a1, net.dense2)
-            assert p == pytest.approx(dense_forward(a2, net.output)[0], rel=1e-10, abs=1e-12)
-            ga2, gw, gb = dense_backward(np.array([g]), a2, net.output)
-            add("output", gw, gb)
-            ga1, gw, gb = dense_backward(ga2, a1, net.dense2)
-            add("dense2", gw, gb)
-            gflat, gw, gb = dense_backward(ga1, flat, net.dense1)
-            add("dense1", gw, gb)
-            gp, gw, gb = conv1d_backward(gflat.reshape(h2.shape) * (h2 > 0), pooled, net.conv2)
-            add("conv2", gw, gb)
-            g1 = maxpool_backward(gp, idx, h1.shape[1]) * (h1 > 0)
-            _, gw, gb = conv1d_backward(g1, x, net.conv1)
-            add("conv1", gw, gb)
-        assert ref["conv1.filters"][0].any() and not ref["conv1.filters"][1].any()
-        for key, want in ref.items():
-            np.testing.assert_allclose(grads[key], want, rtol=1e-10,
-                                       atol=1e-10 * np.abs(want).max(), err_msg=key)
+            assert (idx[0] % pool == 0).all()  # ties go to the first occurrence
+        want_pred, want = contract_step(net, xs, ys)
+        assert want["conv1.filters"][0].any() and not want["conv1.filters"][1].any()
+        assert_step_matches(train_step(net, xs, ys), want_pred, want)
+
+    def test_step_reads_nothing_left_in_its_buffers(self, rng):
+        # spec holds the conv1 spectra, then the pooling's window copy, then
+        # the conv1 gradient's spectrum; g1 the map, then its gradient.  Rows
+        # past the batch stay unused, as in train's last partial batch.
+        net = build_network(replace(HyperParams(), dropout=0.0), 1024,
+                            np.random.default_rng(4))
+        xs = rng.standard_normal((3, 1024))
+        ys = rng.standard_normal(3)
+        fx = np.fft.rfft(xs)
+        steps = [nn._train_step(net, fx, ys, None, np.full((4, 6, 513), fill, complex),
+                                np.full((4, 6, 1024), fill)) for fill in (0.0, np.nan)]
+        (pred, grads), (pred_nan, grads_nan) = steps
+        assert np.array_equal(pred_nan, pred)
+        for key, g in grads.items():
+            assert np.array_equal(grads_nan[key], g), key
+        assert_step_matches(steps[0], *contract_step(net, xs, ys))
 
     def test_train_mode_dropout_gradient_frozen_mask(self, rng):
         # replay the engine's training step with its own mask frozen, so
