@@ -219,38 +219,27 @@ def cmd_loocv(args) -> int:
     return EXIT_OK
 
 
-def _read_fold_csv(run_dir: Path) -> tuple[str, dict[str, float]]:
-    path = _require(run_dir / "folds.csv", "per-fold CSV")
-    by_oil: dict[str, float] = {}
-    parameter = None
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")  # a short row fails float(), as bad input
-        missing = sorted({"parameter", "held_out_oil", "mae_val"}
-                         - set(reader.fieldnames or ()))
-        if missing:
-            raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
-        for row in reader:
-            parameter = row["parameter"]
-            by_oil[row["held_out_oil"]] = float(row["mae_val"])
-    if not by_oil:
-        raise ValueError(f"{path} holds no folds")
-    return parameter, by_oil
-
-
-def _run_param_count(run_dir: Path) -> int | None:
-    """The network size ``loocv`` recorded in the run's summary, if any."""
-    summary = run_dir / "summary.json"
-    if not summary.exists():
-        return None
-    return json.loads(summary.read_text(encoding="utf-8")).get("num_parameters")
+def _read_run(run: Path) -> tuple[emod.CvSummary, int | None]:
+    """A ``loocv`` run's summary, rebuilt from its folds, and its network size."""
+    path = _require(run / "summary.json", "run summary")
+    try:
+        d = json.loads(path.read_text(encoding="utf-8"))
+        summary = emod.summary_from_dict(d)
+        n = d.get("num_parameters")
+        if n is not None and type(n) is not int:
+            raise ValueError(f"num_parameters {n!r} is not an integer")
+    except ValueError as e:
+        raise ValueError(f"{run}: {e}") from e
+    return summary, n
 
 
 def cmd_compare(args) -> int:
     dir1, dir2 = Path(args.run1), Path(args.run2)
-    param1, maes1 = _read_fold_csv(dir1)
-    param2, maes2 = _read_fold_csv(dir2)
-    if param1 != param2:
-        raise ValueError(f"runs target different parameters: {param1} vs {param2}")
+    (s1, n1), (s2, n2) = _read_run(dir1), _read_run(dir2)
+    if s1.parameter != s2.parameter:
+        raise ValueError(f"runs target different parameters: "
+                         f"{s1.parameter.value} vs {s2.parameter.value}")
+    maes1, maes2 = ({f.held_out_oil: f.mae_val for f in s.per_fold} for s in (s1, s2))
     if set(maes1) != set(maes2):
         raise ValueError("runs cover different oil sets; comparison undefined")
     oils = sorted(maes1)
@@ -263,7 +252,6 @@ def cmd_compare(args) -> int:
 
     text = (f"sample_1 = {worse[0]} {worse[1]} (higher mean MAE)\n"
             f"sample_2 = {better[0]} {better[1]}\n") + smod.report_text(report)
-    n1, n2 = _run_param_count(dir1), _run_param_count(dir2)
     if report.reject_equal_means:
         text += f"recommendation = {better[0]} (significantly lower mean MAE)\n"
     elif n1 is not None and n2 is not None and n1 != n2:
@@ -277,7 +265,8 @@ def cmd_compare(args) -> int:
         out = _out_dir(args.out)
         (out / "ttest.txt").write_text(text, encoding="utf-8")
         write_manifest(out, "compare", None, {"run1": dir1, "run2": dir2}, None,
-                       {"folds1.csv": dir1 / "folds.csv", "folds2.csv": dir2 / "folds.csv"})
+                       {"summary1.json": dir1 / "summary.json",
+                        "summary2.json": dir2 / "summary.json"})
     return EXIT_OK
 
 
@@ -330,25 +319,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-#: The keys of ``summary.json`` that ``report`` reads, and those of each fold.
-_SUMMARY_KEYS = ("parameter", "mean_mae_train", "sd_mae_train", "mean_mae_val", "sd_mae_val",
-                 "average_error_pct", "label_error_pct", "leakage_ratio", "folds")
-_FOLD_KEYS = ("held_out_oil", "predictions")
-
-
-def _read_summary(run: Path) -> dict:
-    """A run's ``summary.json``, checked for the keys that ``report`` reads."""
-    s = json.loads((run / "summary.json").read_text(encoding="utf-8"))
-    if not isinstance(s, dict):
-        raise ValueError(f"{run}: summary.json is not a JSON object")
-    missing = [k for k in _SUMMARY_KEYS if k not in s]
-    missing += sorted({f"folds[].{k}" for f in s.get("folds", ()) for k in _FOLD_KEYS
-                       if not isinstance(f, dict) or k not in f})
-    if missing:
-        raise ValueError(f"{run}: summary.json lacks {', '.join(missing)}")
-    return s
-
-
 def cmd_report(args) -> int:
     completed = []
     for d in args.runs:
@@ -360,7 +330,7 @@ def cmd_report(args) -> int:
     if not completed:
         raise EmptyResultError("no completed run directories")
 
-    summaries = [_read_summary(r) for r in completed]
+    summaries = [_read_run(r)[0] for r in completed]
 
     def cell(v, spec="{:.3g}"):
         return "-" if v is None else spec.format(v)
@@ -370,21 +340,21 @@ def cmd_report(args) -> int:
     lines = [header, "-" * len(header)]
     for s in summaries:
         lines.append(
-            f"{s['parameter']:<14}{s['mean_mae_train']:>10.3g}{s['sd_mae_train']:>11.3g}"
-            f"{s['mean_mae_val']:>10.3g}{s['sd_mae_val']:>11.3g}"
-            f"{cell(s['average_error_pct']):>11}{cell(s['label_error_pct']):>13}")
-        if s["leakage_ratio"] > 3.0:
+            f"{s.parameter.value:<14}{s.mean_mae_train:>10.3g}{s.sd_mae_train:>11.3g}"
+            f"{s.mean_mae_val:>10.3g}{s.sd_mae_val:>11.3g}"
+            f"{cell(s.average_error_pct):>11}{cell(s.label_error_pct):>13}")
+        if s.leakage_ratio() > 3.0:
             lines.append(f"  ^ warning: leakage guard tripped "
-                         f"(<MAE_V>/<MAE_T> = {s['leakage_ratio']:.2f})")
+                         f"(<MAE_V>/<MAE_T> = {s.leakage_ratio():.2f})")
     table = "\n".join(lines) + "\n"
     print(table, end="")
 
     # consolidated per-oil predictions (mean across repetitions) per parameter
     preds: dict[str, dict[str, float]] = {}
     for s in summaries:
-        for f in s["folds"]:
-            preds.setdefault(f["held_out_oil"], {})[s["parameter"]] = float(
-                np.mean(f["predictions"]))
+        for f in s.per_fold:
+            preds.setdefault(f.held_out_oil, {})[s.parameter.value] = float(
+                np.mean(f.predictions))
 
     if args.out:
         out = _out_dir(args.out)

@@ -3,11 +3,15 @@
 One fold removes all repetitions of a single oil for validation and trains
 on everything else.  During training two parameter snapshots are kept: the
 one with the lowest validation loss and the one with the lowest training
-loss.  Aggregating each snapshot across folds gives two candidate runs; the
-run whose mean train/validation MAE agree best (smallest relative absolute
-difference) is selected.  That guards against the classic leave-one-out
-failure mode where a network scores well on the held-out oil by memorizing
-label structure while train and validation errors drift apart.
+loss.  Each snapshot's folds make a candidate run, a ``CvSummary`` whose
+statistics derive from its folds; the run whose mean train/validation MAE
+agree best (smallest relative absolute difference) is selected.  That guards
+against the classic leave-one-out failure mode where a network scores well
+on the held-out oil by memorizing label structure while train and
+validation errors drift apart.
+
+``summary.json`` is the run that ``report`` and ``compare`` read back through
+``summary_from_dict``; ``folds.csv`` and ``scatter.csv`` are exports.
 
 Validation runs every ``nn.VAL_EVERY`` epochs and on the last one.  That
 cadence decides which snapshot a run selects, so it is a constant rather
@@ -67,16 +71,12 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class CvSummary:
+    """A LOOCV run: every statistic derives from its folds, except the error
+    percentages, which need the records (``error_percentages``)."""
     parameter: ParameterId
-    mean_mae_train: float
-    sd_mae_train: float
-    mean_mae_val: float
-    sd_mae_val: float
-    var_mae_val: float
     per_fold: tuple[FoldResult, ...]
     average_error_pct: Optional[float] = None
     label_error_pct: Optional[float] = None
-    comparability_ratio: Optional[float] = None
 
     @property
     def n_oil(self) -> int:
@@ -85,6 +85,33 @@ class CvSummary:
     @property
     def checkpoint(self) -> str:
         return self.per_fold[0].chosen_checkpoint
+
+    @property
+    def mean_mae_train(self) -> float:
+        return float(np.array([f.mae_train for f in self.per_fold]).mean())
+
+    @property
+    def sd_mae_train(self) -> float:
+        return float(np.array([f.mae_train for f in self.per_fold]).std(ddof=1))
+
+    @property
+    def mean_mae_val(self) -> float:
+        return float(np.array([f.mae_val for f in self.per_fold]).mean())
+
+    @property
+    def sd_mae_val(self) -> float:
+        return float(np.array([f.mae_val for f in self.per_fold]).std(ddof=1))
+
+    @property
+    def var_mae_val(self) -> float:
+        return self.sd_mae_val ** 2
+
+    @property
+    def comparability_ratio(self) -> float:
+        """Relative absolute difference between mean train and validation MAE."""
+        if self.mean_mae_train == 0.0:
+            return 0.0 if self.mean_mae_val == 0.0 else float("inf")
+        return abs(self.mean_mae_train - self.mean_mae_val) / self.mean_mae_train
 
     def leakage_ratio(self) -> float:
         """Validation-to-train mean MAE ratio; large values suggest leakage."""
@@ -183,21 +210,6 @@ def _run_worker_fold(hold: str):
     return _run_fold(hold, *_WORKER_ARGS)
 
 
-def _aggregate(parameter: ParameterId, folds: Sequence[FoldResult]) -> CvSummary:
-    tr = np.array([f.mae_train for f in folds])
-    va = np.array([f.mae_val for f in folds])
-    sd_va = float(va.std(ddof=1))
-    return CvSummary(
-        parameter=parameter,
-        mean_mae_train=float(tr.mean()),
-        sd_mae_train=float(tr.std(ddof=1)),
-        mean_mae_val=float(va.mean()),
-        sd_mae_val=sd_va,
-        var_mae_val=sd_va ** 2,
-        per_fold=tuple(folds),
-    )
-
-
 def loocv_checkpoint_runs(
     dataset: Dataset,
     parameter: ParameterId,
@@ -225,34 +237,21 @@ def loocv_checkpoint_runs(
     else:
         results = dict(_run_fold(hold, *fold_args) for hold in oils)
 
-    by_kind = {
-        kind: [results[hold][kind] for hold in oils]
-        for kind in CHECKPOINT_KINDS
-    }
-    return (_aggregate(parameter, by_kind["best_val_loss"]),
-            _aggregate(parameter, by_kind["best_train_loss"]))
-
-
-def comparability(summary: CvSummary) -> float:
-    """Relative absolute difference between mean train and validation MAE."""
-    if summary.mean_mae_train == 0.0:
-        return 0.0 if summary.mean_mae_val == 0.0 else float("inf")
-    return abs(summary.mean_mae_train - summary.mean_mae_val) / summary.mean_mae_train
+    return tuple(CvSummary(parameter, tuple(results[hold][kind] for hold in oils))
+                 for kind in CHECKPOINT_KINDS)
 
 
 def select_checkpoint(best_val_run: CvSummary, best_train_run: CvSummary) -> CvSummary:
     """Pick the run whose train and validation MAE are the most comparable.
 
-    Ties go to the best-validation run.  The winning run is returned with
-    its comparability ratio filled in.
+    Ties go to the best-validation run.
     """
     a = {f.held_out_oil for f in best_val_run.per_fold}
     b = {f.held_out_oil for f in best_train_run.per_fold}
     if a != b:
         raise ValueError("checkpoint runs cover different oil sets")
-    ra, rb = comparability(best_val_run), comparability(best_train_run)
-    chosen, ratio = (best_val_run, ra) if ra <= rb else (best_train_run, rb)
-    return replace(chosen, comparability_ratio=ratio)
+    ra, rb = best_val_run.comparability_ratio, best_train_run.comparability_ratio
+    return best_val_run if ra <= rb else best_train_run
 
 
 def error_percentages(
@@ -267,33 +266,22 @@ def error_percentages(
     come from the records' ``exp_error`` field; when any oil lacks one, the
     label error is reported as unavailable (None).
     """
-    by_id = {r.oil_id: r for r in records}
-    exp_errors = {r.oil_id: r.exp_error for r in records if r.exp_error is not None}
-
-    ratios = []
-    skipped = 0
+    exp_errors = {r.oil_id: r.exp_error for r in records}
+    ratios, label_ratios, complete = [], [], True
     for f in summary.per_fold:
-        label = by_id[f.held_out_oil].value_of(summary.parameter)
-        if label == 0:
-            skipped += 1
-            continue
-        ratios.append(f.mae_val / abs(label))
-    if skipped:
-        warnings.warn(f"{skipped} oil(s) with zero label excluded from average error")
+        err = exp_errors.get(f.held_out_oil)
+        complete = complete and err is not None
+        if f.true_value != 0:
+            ratios.append(f.mae_val / abs(f.true_value))
+            if complete:
+                label_ratios.append(err / abs(f.true_value))
+    if len(ratios) < summary.n_oil:
+        warnings.warn(f"{summary.n_oil - len(ratios)} oil(s) with zero label "
+                      "excluded from average error")
     if not ratios:
         raise ValueError("no nonzero labels to average over")
     average_error_pct = 100.0 * float(np.mean(ratios))
-
-    label_error_pct: Optional[float] = None
-    if all(f.held_out_oil in exp_errors for f in summary.per_fold):
-        lr = []
-        for f in summary.per_fold:
-            label = by_id[f.held_out_oil].value_of(summary.parameter)
-            if label == 0:
-                continue
-            lr.append(exp_errors[f.held_out_oil] / abs(label))
-        if lr:
-            label_error_pct = 100.0 * float(np.mean(lr))
+    label_error_pct = 100.0 * float(np.mean(label_ratios)) if complete else None
     return average_error_pct, label_error_pct
 
 
@@ -344,6 +332,31 @@ def summary_to_dict(summary: CvSummary) -> dict:
     }
 
 
+def _fold_from_dict(f: dict) -> FoldResult:
+    oil, preds = f["held_out_oil"], f["predictions"]
+    if not isinstance(oil, str) or not isinstance(preds, list):
+        raise TypeError(f"fold {oil!r}: held_out_oil must be a string, predictions a list")
+    return FoldResult(oil, float(f["true_value"]), float(f["mae_train"]), float(f["mae_val"]),
+                      tuple(float(v) for v in preds), f["chosen_checkpoint"])
+
+
+def summary_from_dict(d: dict) -> CvSummary:
+    """Inverse of ``summary_to_dict``: the run rebuilt from its folds, each checked
+    by ``FoldResult``, ignoring the stored aggregates.  Bad input: ``ValueError``."""
+    try:
+        folds = tuple(_fold_from_dict(f) for f in d["folds"])
+        pcts = [None if d[k] is None else float(d[k])
+                for k in ("average_error_pct", "label_error_pct")]
+        summary = CvSummary(ParameterId(d["parameter"]), folds, *pcts)
+    except (KeyError, TypeError, OverflowError, DivergenceError) as e:
+        raise ValueError(f"malformed summary ({type(e).__name__}: {e})") from e
+    if len({f.held_out_oil for f in folds}) < max(3, len(folds)):
+        raise ValueError("summary folds must hold out at least 3 distinct oils")
+    if not np.isfinite([p for p in pcts if p is not None]).all():
+        raise ValueError("summary error percentages must be finite")
+    return summary
+
+
 def summary_to_json(summary: CvSummary, **extra) -> str:
     """JSON text of the summary; ``extra`` adds top-level keys."""
     return json.dumps({**summary_to_dict(summary), **extra},
@@ -355,7 +368,7 @@ def save_summary(summary: CvSummary, path: str | Path, **extra) -> None:
 
 
 def save_fold_csv(summary: CvSummary, path: str | Path) -> None:
-    """One row per fold: the inputs the statistical comparison consumes."""
+    """One row per fold, for spreadsheets; ``summary.json`` holds the same values."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("parameter,held_out_oil,true_value,mae_train,mae_val,chosen_checkpoint\n")
         for f in summary.per_fold:

@@ -1,11 +1,13 @@
 import json
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
 
 from olivenet import cli
 from olivenet import data as dmod
+from olivenet import evaluation as emod
 from olivenet import nn
 
 
@@ -15,6 +17,15 @@ def run(argv):
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def edited_run(run_dir, dest, edit):
+    """A copy of ``run_dir`` at ``dest`` whose parsed summary.json ``edit`` changed."""
+    shutil.copytree(run_dir, dest)
+    summary = json.loads((dest / "summary.json").read_text())
+    edit(summary)
+    (dest / "summary.json").write_text(json.dumps(summary))
+    return dest
 
 
 GEN_SMALL = ["generate", "--pixels", 96, "--repetitions", 2, "--seed", 7]
@@ -164,7 +175,6 @@ class TestLoocv:
         assert not (out / "summary.json").exists()
 
     def test_empty_spectra_file_exit_2(self, dataset_dir, tmp_path, capsys):
-        import shutil
         data = tmp_path / "ds"
         shutil.copytree(dataset_dir, data)
         (data / "spectra.csv").write_text("")
@@ -231,10 +241,10 @@ class TestCompare:
         for name, mean, n_params in (("good", 0.10, 1071), ("poor", 0.30, 839)):
             runs[name] = tmp_path / name
             runs[name].mkdir()
-            rows = [f"acidity,oil{i:02d},{mean + d}\n" for i, d in enumerate(spread)]
-            (runs[name] / "folds.csv").write_text(
-                "parameter,held_out_oil,mae_val\n" + "".join(rows))
-            (runs[name] / "summary.json").write_text(json.dumps({"num_parameters": n_params}))
+            folds = tuple(emod.FoldResult(f"oil{i:02d}", 1.0, mean, mean + d, (1.0,),
+                                          "best_val_loss") for i, d in enumerate(spread))
+            emod.save_summary(emod.CvSummary(dmod.ParameterId.ACIDITY, folds),
+                              runs[name] / "summary.json", num_parameters=n_params)
 
         chosen, texts = [], []
         for first, second in (("good", "poor"), ("poor", "good")):
@@ -255,11 +265,33 @@ class TestCompare:
                     "--seed", 3, "--out", out] + LOOCV_QUICK) == 0
         assert run(["compare", "--run1", loocv_dir, "--run2", out]) == 2
 
-    def test_folds_csv_without_parameter_column_exit_2(self, tmp_path, capsys):
-        (tmp_path / "folds.csv").write_text("held_out_oil,mae_val\noil01,0.1\noil02,0.2\n")
-        assert run(["compare", "--run1", tmp_path, "--run2", tmp_path]) == 2
+    def test_summary_without_fold_mae_exit_2(self, loocv_dir, tmp_path, capsys):
+        bad = edited_run(loocv_dir, tmp_path / "bad", lambda s: s["folds"][3].pop("mae_val"))
+        assert run(["compare", "--run1", bad, "--run2", loocv_dir]) == 2
         assert capsys.readouterr().err == \
-            f"error: {tmp_path / 'folds.csv'} lacks the column(s) parameter\n"
+            f"error: {bad}: malformed summary (KeyError: 'mae_val')\n"
+
+    def test_non_integer_num_parameters_exit_2(self, loocv_dir, tmp_path, capsys):
+        bad = edited_run(loocv_dir, tmp_path / "bad", lambda s: s.update(num_parameters="many"))
+        assert run(["compare", "--run1", loocv_dir, "--run2", bad]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: num_parameters 'many' is not an integer\n"
+
+    def test_ttest_does_not_read_folds_csv(self, dataset_dir, loocv_dir, tmp_path):
+        small = tmp_path / "small"
+        argv = ["loocv", "--data", dataset_dir, "--parameter", "acidity",
+                "--seed", 3, "--out", small] + LOOCV_QUICK
+        argv[argv.index("--filters1") + 1] = "1"
+        assert run(argv) == 0
+        big = tmp_path / "big"
+        shutil.copytree(loocv_dir, big)
+        compare = ["compare", "--run1", big, "--run2", small, "--out"]
+        assert run(compare + [tmp_path / "with"]) == 0
+        (big / "folds.csv").unlink()
+        (small / "folds.csv").unlink()
+        assert run(compare + [tmp_path / "without"]) == 0
+        assert (tmp_path / "without" / "ttest.txt").read_bytes() == \
+            (tmp_path / "with" / "ttest.txt").read_bytes()
 
 
 class TestClassify:
@@ -313,10 +345,20 @@ class TestReport:
             {"parameter": "acidity", "folds": [{"held_out_oil": "oil01"}]}))
         (tmp_path / "scatter.csv").write_text("")
         assert run(["report", tmp_path]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {tmp_path}: summary.json lacks mean_mae_train, sd_mae_train, "
-            "mean_mae_val, sd_mae_val, average_error_pct, label_error_pct, "
-            "leakage_ratio, folds[].predictions\n")
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path}: malformed summary (KeyError: 'predictions')\n"
+
+    @pytest.mark.parametrize("edit", [
+        lambda s: s["folds"][0].update(predictions="0.5"),
+        lambda s: s.update(folds=5),
+        lambda s: s["folds"][0].update(mae_val=float("nan")),
+    ], ids=["string-predictions", "numeric-folds", "nan-mae"])
+    def test_mistyped_summary_exit_2(self, loocv_dir, tmp_path, capsys, edit):
+        bad = edited_run(loocv_dir, tmp_path / "bad", edit)
+        assert run(["report", bad, "--out", tmp_path / "rep"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ")
 
 
 class TestExitCodes:

@@ -10,12 +10,12 @@ from olivenet.data import OilRecord, ParameterId, Quality
 from olivenet.evaluation import (
     CvSummary,
     FoldResult,
-    comparability,
     error_percentages,
     loocv,
     loocv_checkpoint_runs,
     mae,
     select_checkpoint,
+    summary_from_dict,
     summary_to_json,
 )
 from olivenet.nn import DivergenceError, HyperParams, ShapeError
@@ -192,17 +192,11 @@ class TestFoldResult:
             FoldResult("O01", 1.0, mae_train, mae_val, preds, "best_val_loss")
 
 
-def _summary(parameter, maes_train, maes_val, kind="best_val_loss"):
-    folds = tuple(
-        FoldResult(f"O{i:02d}", 1.0, t, v, (1.0, 1.0), kind)
-        for i, (t, v) in enumerate(zip(maes_train, maes_val)))
-    tr = np.asarray(maes_train)
-    va = np.asarray(maes_val)
-    return CvSummary(
-        parameter=parameter,
-        mean_mae_train=float(tr.mean()), sd_mae_train=float(tr.std(ddof=1)),
-        mean_mae_val=float(va.mean()), sd_mae_val=float(va.std(ddof=1)),
-        var_mae_val=float(va.std(ddof=1)) ** 2, per_fold=folds)
+def _summary(parameter, maes_train, maes_val, kind="best_val_loss", labels=None):
+    labels = labels or [1.0] * len(maes_val)
+    return CvSummary(parameter, tuple(
+        FoldResult(f"O{i:02d}", label, t, v, (1.0, 1.0), kind)
+        for i, (label, t, v) in enumerate(zip(labels, maes_train, maes_val))))
 
 
 class TestSelectCheckpoint:
@@ -214,7 +208,7 @@ class TestSelectCheckpoint:
         chosen = select_checkpoint(a, b)
         assert chosen.checkpoint == "best_val_loss"
         assert chosen.comparability_ratio == pytest.approx(0.2)
-        assert comparability(b) == pytest.approx(29.0)
+        assert b.comparability_ratio == pytest.approx(29.0)
 
     def test_tie_takes_first(self):
         a = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.1, 0.1])
@@ -227,7 +221,7 @@ class TestSelectCheckpoint:
         b = _summary(ParameterId.ACIDITY, [0.10, 0.10], [0.30, 0.30],
                      kind="best_train_loss")
         assert select_checkpoint(a, b).checkpoint == "best_val_loss"
-        assert comparability(a) == pytest.approx(0.2)
+        assert a.comparability_ratio == pytest.approx(0.2)
 
     def test_disjoint_oil_sets_rejected(self):
         a = _summary(ParameterId.ACIDITY, [0.1, 0.1, 0.1], [0.1, 0.1, 0.1])
@@ -252,7 +246,7 @@ class TestAggregates:
 
 class TestErrorPercentages:
     def test_single_oil_ten_percent(self):
-        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2])
+        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2], labels=[2.0, 2.0])
         recs = [OilRecord("O00", 2.0, None, None, None, None, Quality.VOO),
                 OilRecord("O01", 2.0, None, None, None, None, Quality.VOO)]
         avg, label = error_percentages(s, recs)
@@ -260,14 +254,14 @@ class TestErrorPercentages:
         assert label is None  # no experimental errors supplied
 
     def test_label_errors_all_ten_percent(self):
-        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2])
+        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2], labels=[2.0, 4.0])
         recs = [OilRecord("O00", 2.0, None, None, None, None, Quality.VOO, exp_error=0.2),
                 OilRecord("O01", 4.0, None, None, None, None, Quality.VOO, exp_error=0.4)]
         _, label = error_percentages(s, recs)
         assert label == pytest.approx(10.0)
 
     def test_zero_label_excluded_with_warning(self):
-        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2])
+        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2], labels=[0.0, 2.0])
         recs = [OilRecord("O00", 0.0, None, None, None, None, Quality.VOO),
                 OilRecord("O01", 2.0, None, None, None, None, Quality.VOO)]
         with pytest.warns(UserWarning):
@@ -298,3 +292,31 @@ class TestSerialization:
         d = json.loads(summary_to_json(s))
         assert d["mean_mae_val"] == s.mean_mae_val  # exact float round-trip
         assert len(d["folds"]) == 4
+        assert summary_from_dict(d) == s  # the inverse, aggregates recomputed
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("parameter"),
+        lambda d: d["folds"][0].pop("mae_val"),
+        lambda d: d.update(folds=5),
+        lambda d: d.update(folds=[]),
+        lambda d: d.update(folds=d["folds"][:2]),
+        lambda d: d.update(folds=d["folds"] + d["folds"][:1]),
+        lambda d: d.update(parameter="acidty"),
+        lambda d: d.update(average_error_pct=float("nan")),
+        lambda d: d["folds"][0].update(predictions="12"),
+        lambda d: d["folds"][0].update(held_out_oil=3),
+        lambda d: d["folds"][0].update(mae_val=float("nan")),
+        lambda d: d["folds"][0].update(mae_val=10 ** 400),
+        lambda d: d["folds"][0].update(mae_train=-0.1),
+        lambda d: d["folds"][0].update(chosen_checkpoint="last"),
+    ])
+    def test_summary_from_dict_rejects_malformed_input(self, edit):
+        folds = [{"held_out_oil": f"O{i}", "true_value": 1.0, "mae_train": 0.1,
+                  "mae_val": 0.2, "chosen_checkpoint": "best_val_loss",
+                  "predictions": [1.1, 0.9]} for i in range(3)]
+        d = {"parameter": "acidity", "average_error_pct": 20.0, "label_error_pct": None,
+             "folds": folds}
+        assert summary_from_dict(d).mean_mae_val == pytest.approx(0.2)
+        edit(d)
+        with pytest.raises(ValueError):
+            summary_from_dict(d)
