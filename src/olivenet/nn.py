@@ -64,6 +64,19 @@ The batched engine has two paths:
   input ``INFER_CHUNK`` rows at a time, so its working set does not grow
   with the batch: scoring 420 spectra needs no more memory than scoring 64.
 
+Both paths take the filters' transforms from ``_filter_spectra``, which
+memoizes conv1's conjugated filter spectrum and conv2's filter spectrum on
+the ``Network``, keyed on the two filter arrays' shapes and bytes.  The key
+is their content, not a version counter, because parameters change in
+place by routes no counter sees: Adam, ``set_parameters``, a plain element
+write, a replaced layer.  Checking the key copies and compares under 6 kB
+of filters at the default sizes, far cheaper than the two transforms it
+saves.  A forward on unchanged weights, one graded spectrum, then makes 4
+transforms instead of 6, a chunked forward no longer re-transforms the
+filters per chunk, and a training step transforms conv2's filters once,
+not twice.  The spectra come from the same ``np.fft`` calls on the same
+arrays, so every result is bitwise unchanged.
+
 Training is mini-batch gradient descent with Adam-style adaptive moments;
 validation runs every ``VAL_EVERY`` epochs, a fixed part of the protocol.
 """
@@ -161,8 +174,13 @@ class HyperParams:
     dense_sizes: tuple[int, int] = (16, 8)
 
     def __post_init__(self):
+        if len(self.dense_sizes) != 2:
+            raise ValueError("dense_sizes must hold exactly two sizes")
         ints = (self.filters1, self.filters2, self.ksize1, self.ksize2,
                 self.pool, self.batch, *self.dense_sizes)
+        # a checkpoint header can hold 6.0 or true, which compare like sizes
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (*ints, self.epochs)):
+            raise ValueError("size hyperparameters and epochs must be integers")
         if any(v < 1 for v in ints):
             raise ValueError("all size hyperparameters must be positive")
         if self.epochs < 0:
@@ -200,6 +218,8 @@ class Network:
     hp: HyperParams
     input_len: int
     shapes: dict[str, int] = field(default_factory=dict)
+    #: ``_filter_spectra``'s memo: (key, spectra).  Derived state, never an input.
+    _spectra: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays in checkpoint order."""
@@ -427,6 +447,24 @@ def _fft_sizes(net: Network) -> tuple[int, int]:
     return n1, n2
 
 
+def _filter_spectra(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """conv1's conjugated filter spectrum (C1, n1//2 + 1) and conv2's (C2, C1, n2//2 + 1).
+
+    Memoized on ``net`` under the filters' bytes and shapes, so a forward
+    pass on unchanged weights transforms only its input and maps.  The
+    arrays are shared by every later call, hence read-only.
+    """
+    n1, n2 = _fft_sizes(net)
+    f1, f2 = net.conv1.filters, net.conv2.filters
+    key = (f1.shape, f2.shape, f1.tobytes(), f2.tobytes())
+    if net._spectra is None or net._spectra[0] != key:
+        spectra = np.conj(np.fft.rfft(f1[:, 0, :], n=n1)), np.fft.rfft(f2, n=n2)
+        for s in spectra:
+            s.flags.writeable = False
+        net._spectra = key, spectra
+    return net._spectra[1]
+
+
 def _spectrum_buffer(net: Network, rows: int) -> np.ndarray:
     """Room for the conv1 spectra of ``rows`` inputs, for ``_conv1_map``."""
     n1, _ = _fft_sizes(net)
@@ -443,8 +481,7 @@ def _conv1_map(net: Network, fx: np.ndarray, spec: np.ndarray,
     trailing partial window never reaches pooling.
     """
     n1, _ = _fft_sizes(net)
-    spec = np.multiply(fx[:, None, :], np.conj(np.fft.rfft(net.conv1.filters[:, 0, :], n=n1)),
-                       out=spec[:fx.shape[0]])
+    spec = np.multiply(fx[:, None, :], _filter_spectra(net)[0], out=spec[:fx.shape[0]])
     spec[:, :, 0] += n1 * net.conv1.biases
     return np.fft.irfft(spec, n=n1, out=out)
 
@@ -457,7 +494,7 @@ def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     _, n2 = _fft_sizes(net)
     fx2 = np.fft.rfft(x2, n=n2).transpose(2, 0, 1)
-    spec2 = fx2 @ np.conj(np.fft.rfft(net.conv2.filters, n=n2)).transpose(2, 1, 0)
+    spec2 = fx2 @ np.conj(_filter_spectra(net)[1]).transpose(2, 1, 0)
     spec2[0] += n2 * net.conv2.biases
     return fx2, np.fft.irfft(spec2.transpose(1, 2, 0), n=n2)[:, :, :net.shapes["conv2"]]
 
@@ -563,7 +600,7 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
         (np.conj(fg2).transpose(0, 2, 1) @ fx2).transpose(1, 2, 0), n=n2)[:, :, :k2]
     d_cb2 = gy2.sum(axis=(0, 2))
     gx2 = np.fft.irfft(
-        (fg2 @ np.fft.rfft(net.conv2.filters, n=n2).transpose(2, 0, 1)).transpose(1, 2, 0),
+        (fg2 @ _filter_spectra(net)[1].transpose(2, 0, 1)).transpose(1, 2, 0),
         n=n2)[:, :, :lp]
 
     # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing

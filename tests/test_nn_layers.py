@@ -401,6 +401,97 @@ class TestNetworkForward:
             forward(toy_net, np.ones(TOY_P + 1))
 
 
+def _adam_step(net, tmp_path):
+    xs = np.random.default_rng(5).standard_normal((3, net.input_len))
+    nn.Adam(net.parameters(), 1e-2).step(train_step(net, xs, np.ones(3))[1])
+    return net
+
+
+def _set_parameters(net, tmp_path):
+    params = net.copy_parameters()
+    params["conv1.filters"] *= 1.01
+    params["conv2.filters"] *= 0.99
+    net.set_parameters(params)
+    return net
+
+
+def _element_write(net, tmp_path):
+    net.conv1.filters[0, 0, 3] += 1e-3
+    return net
+
+
+def _replaced_layer(net, tmp_path):
+    net.conv2 = Conv1DLayer(net.conv2.filters * 1.01, net.conv2.biases)
+    return net
+
+
+def _checkpoint_round_trip(net, tmp_path):
+    nn.save_network(net, tmp_path / "m.ocnn")
+    return nn.load_network(tmp_path / "m.ocnn")
+
+
+class TestFilterSpectraMemo:
+    """Forward reuses the filters' transforms only while the filters are unchanged."""
+
+    @pytest.mark.parametrize("hp, p", [(HyperParams(), 1024), (TOY_HP, TOY_P)],
+                             ids=["default", "toy"])
+    @pytest.mark.parametrize("change", [_adam_step, _set_parameters, _element_write,
+                                        _replaced_layer, _checkpoint_round_trip])
+    def test_forward_equals_fresh_network_after_change(self, hp, p, change, tmp_path, rng):
+        net = build_network(replace(hp, dropout=0.0), p, np.random.default_rng(8))
+        xs = rng.standard_normal((130, p))
+        before = forward(net, xs[0])  # warms the memo
+        net = change(net, tmp_path)
+        fresh = build_network(net.hp, p, np.random.default_rng(0))
+        fresh.set_parameters(net.copy_parameters())
+        after = forward(net, xs[0])
+        if change is not _checkpoint_round_trip:
+            assert after != before
+        assert after == forward(fresh, xs[0])  # bitwise
+        assert np.array_equal(forward(net, xs), forward(fresh, xs))
+
+
+class TestTransformCounts:
+    """np.fft calls of the engine at the default shape, P=1024.
+
+    Each conv layer's filter bank is transformed once per parameter state:
+    a forward on unchanged filters transforms only its input and its maps,
+    four transforms per chunk of rows, and a training step, whose filters
+    Adam has just moved, transforms each bank once, ten in all.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        for name in ("rfft", "irfft"):
+            def counted(*args, _real=getattr(np.fft, name), **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    @pytest.fixture
+    def net(self):
+        return build_network(HyperParams(), 1024, np.random.default_rng(6))
+
+    def test_forward(self, net, calls, rng):
+        x = rng.standard_normal(1024)
+        forward(net, x)
+        assert len(calls) == 6  # cold: both filter banks, then the pass
+        calls.clear()
+        forward(net, x)
+        assert len(calls) == 4
+        calls.clear()
+        forward(net, rng.standard_normal((420, 1024)))
+        assert len(calls) == 4 * 7  # seven chunks of at most INFER_CHUNK = 64 rows
+
+    def test_train_step(self, net, calls, rng):
+        xs = rng.standard_normal((420, 1024))
+        nn.train(net, xs, rng.standard_normal(420), replace(net.hp, epochs=1),
+                 np.random.default_rng(2))
+        assert len(calls) == 1 + 10 * 7  # the inputs' transform, then seven steps
+
+
 def contract_step(net, xs, ys):
     """(pred, MSE gradients) of a batch, sample by sample through the contract ops."""
     preds = np.array([scalar_network_forward(net, x) for x in xs])

@@ -199,8 +199,17 @@ class TestCheckpointFormat:
          "hyperparams are malformed: .*'momentum'"),
         (lambda raw: _with_header(raw, lambda h: h.update(input_len=str(h["input_len"]))),
          "input_len '64' is not an integer"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(filters1=6.0)),
+         "must be integers"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(pool=True)),
+         "must be integers"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dense_sizes=[16])),
+         "exactly two"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dense_sizes=[16, 8, 4])),
+         "exactly two"),
     ], ids=["last-parameter", "magic-only", "no-header-length", "no-hyperparams",
-            "unknown-hyperparam", "string-input-len"])
+            "unknown-hyperparam", "string-input-len", "float-size", "bool-size",
+            "one-dense-size", "three-dense-sizes"])
     def test_truncated_file_rejected(self, tmp_path, toy_net, damage, cause):
         save_network(toy_net, tmp_path / "m.ocnn")
         raw = (tmp_path / "m.ocnn").read_bytes()
