@@ -23,7 +23,6 @@ from olivenet import (
     load_bundled_labels,
     loocv_checkpoint_runs,
     select_checkpoint,
-    error_percentages,
 )
 
 records = load_bundled_labels()[:8]
@@ -49,10 +48,7 @@ chosen = select_checkpoint(run_val, run_train)
 print(f"\nselected: {chosen.checkpoint} "
       f"(train/validation agreement ratio {chosen.comparability_ratio:.3f})")
 
-avg_pct, label_pct = error_percentages(chosen, dataset.records)
-print(f"average prediction error: {avg_pct:.1f}% of the true value")
-print(f"label (laboratory) error: "
-      f"{'not provided in the bundled table' if label_pct is None else f'{label_pct:.1f}%'}")
+print(f"average prediction error: {chosen.average_error_pct:.1f}% of the true value")
 
 print(f"\n{'oil':>5} {'true':>6} {'mean pred':>10} {'fold MAE':>9}")
 for f in chosen.per_fold:

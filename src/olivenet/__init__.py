@@ -44,7 +44,6 @@ from .nn import (
 from .evaluation import (
     CvSummary,
     FoldResult,
-    error_percentages,
     loocv,
     loocv_checkpoint_runs,
     mae,

@@ -203,7 +203,7 @@ def cmd_loocv(args) -> int:
     emod.save_summary(summary, out / "summary.json",
                       num_parameters=num_parameters, input_len=input_len)
     emod.save_fold_csv(summary, out / "folds.csv")
-    emod.save_scatter_csv(summary, dataset.records, out / "scatter.csv")
+    emod.save_scatter_csv([summary], out / "scatter.csv")
     write_manifest(out, "loocv", args.seed, {"data": dataset_dir}, hp.to_dict(),
                    {"spectra.csv": dataset_dir / "spectra.csv",
                     "grid.txt": dataset_dir / "grid.txt",
@@ -271,7 +271,7 @@ def cmd_compare(args) -> int:
 
 
 def _read_parameter_table(path: Path) -> list[tuple[str, dict]]:
-    """Read oil_id plus the five parameter columns; quality/exp_error optional."""
+    """Read oil_id plus the five parameter columns; other columns are ignored."""
     rows = []
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -284,6 +284,9 @@ def _read_parameter_table(path: Path) -> list[tuple[str, dict]]:
             for p in dmod.PARAMETER_ORDER:
                 cell = (row[p.value] or "").strip()
                 values[p] = None if cell in ("", "-") else float(cell)
+                if values[p] is not None and not np.isfinite(values[p]):
+                    raise ValueError(f"{path}: line {reader.line_num}: "
+                                     f"{p.value} {cell!r} is not finite")
             rows.append((row["oil_id"], values))
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -323,7 +326,7 @@ def cmd_report(args) -> int:
     completed = []
     for d in args.runs:
         run = Path(d)
-        if (run / "summary.json").exists() and (run / "scatter.csv").exists():
+        if (run / "summary.json").exists():
             completed.append(run)
         else:
             print(f"warning: skipping incomplete run dir {run}", file=sys.stderr)
@@ -332,37 +335,37 @@ def cmd_report(args) -> int:
 
     summaries = [_read_run(r)[0] for r in completed]
 
-    def cell(v, spec="{:.3g}"):
-        return "-" if v is None else spec.format(v)
-
     header = (f"{'parameter':<14}{'<MAE_T>':>10}{'sd(MAE_T)':>11}{'<MAE_V>':>10}"
-              f"{'sd(MAE_V)':>11}{'avg err %':>11}{'label err %':>13}")
+              f"{'sd(MAE_V)':>11}{'avg err %':>11}")
     lines = [header, "-" * len(header)]
     for s in summaries:
+        pct = "-" if s.average_error_pct is None else f"{s.average_error_pct:.3g}"
         lines.append(
             f"{s.parameter.value:<14}{s.mean_mae_train:>10.3g}{s.sd_mae_train:>11.3g}"
-            f"{s.mean_mae_val:>10.3g}{s.sd_mae_val:>11.3g}"
-            f"{cell(s.average_error_pct):>11}{cell(s.label_error_pct):>13}")
+            f"{s.mean_mae_val:>10.3g}{s.sd_mae_val:>11.3g}{pct:>11}")
         if s.leakage_ratio() > 3.0:
             lines.append(f"  ^ warning: leakage guard tripped "
                          f"(<MAE_V>/<MAE_T> = {s.leakage_ratio():.2f})")
     table = "\n".join(lines) + "\n"
     print(table, end="")
 
-    # consolidated per-oil predictions (mean across repetitions) per parameter
-    preds: dict[str, dict[str, float]] = {}
-    for s in summaries:
-        for f in s.per_fold:
-            preds.setdefault(f.held_out_oil, {})[s.parameter.value] = float(
-                np.mean(f.predictions))
-
     if args.out:
+        # consolidated per-oil predictions (mean across repetitions) per parameter;
+        # a later run of the same parameter replaces an earlier one's
+        preds: dict[str, dict[str, float]] = {}
+        taken: dict[dmod.ParameterId, Path] = {}
+        for run, s in zip(completed, summaries):
+            if s.parameter in taken:
+                print(f"warning: {taken[s.parameter]} and {run} both hold "
+                      f"{s.parameter.value}; predictions.csv takes {run}", file=sys.stderr)
+            taken[s.parameter] = run
+            for f in s.per_fold:
+                preds.setdefault(f.held_out_oil, {})[s.parameter.value] = float(
+                    np.mean(f.predictions))
+
         out = _out_dir(args.out)
         (out / "table.txt").write_text(table, encoding="utf-8")
-        with (out / "scatter_all.csv").open("w", encoding="utf-8") as fh:
-            for i, r in enumerate(completed):
-                body = (r / "scatter.csv").read_text(encoding="utf-8").splitlines()
-                fh.write("\n".join(body if i == 0 else body[1:]) + "\n")
+        emod.save_scatter_csv(summaries, out / "scatter_all.csv")
         with (out / "predictions.csv").open("w", encoding="utf-8") as fh:
             fh.write("oil_id," + ",".join(p.value for p in dmod.PARAMETER_ORDER) + "\n")
             for oil_id in sorted(preds):

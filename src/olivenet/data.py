@@ -8,6 +8,9 @@ share between threads.
 Spectra are stored raw and ``normalize`` z-scores them where model inputs
 are built.  Loading applies no dark-frame correction: synthetic spectra are
 dark-free, and measured ones belong in the CSV already corrected.
+
+Intensities and label values must be finite: ``Spectrum`` and ``OilRecord``
+reject a ``nan`` or ``inf``, and the loaders name the line it came from.
 """
 
 from __future__ import annotations
@@ -106,6 +109,8 @@ class Spectrum:
             raise ValueError(
                 f"intensities length {x.size} != grid length {len(self.grid)}"
             )
+        if not np.isfinite(x).all():
+            raise ValueError(f"non-finite intensity for oil {self.oil_id!r}")
         if self.excitation_nm not in SUPPORTED_EXCITATIONS:
             raise ValueError(f"excitation must be one of {SUPPORTED_EXCITATIONS}")
         if self.repetition < 1:
@@ -124,11 +129,12 @@ class OilRecord:
     k232: Optional[float]
     ethyl_esters: Optional[float]
     quality: Quality
-    exp_error: Optional[float] = None
 
     def __post_init__(self):
         for p in PARAMETER_ORDER:
             v = self.value_of(p)
+            if v is not None and not np.isfinite(v):
+                raise ValueError(f"{self.oil_id}: {p.value} must be finite")
             if v is not None and v < 0:
                 raise ValueError(f"{self.oil_id}: {p.value} must be nonnegative")
 
@@ -228,8 +234,8 @@ def _parse_cell(cell: str, name: str, line: int) -> Optional[float]:
 def load_labels(path: str | Path) -> list[OilRecord]:
     """Read an oil labels CSV.
 
-    Layout: ``oil_id,acidity,peroxide,k270,k232,ethyl_esters,quality`` with an
-    optional trailing ``exp_error`` column; missing values are ``-`` or empty.
+    Layout: ``oil_id,acidity,peroxide,k270,k232,ethyl_esters,quality``;
+    missing values are ``-`` or empty.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -239,18 +245,17 @@ def load_labels(path: str | Path) -> list[OilRecord]:
         except StopIteration:
             raise ValueError("line 1: empty file") from None
         header = [h.strip() for h in header]
-        has_err = header == list(LABELS_HEADER) + ["exp_error"]
-        if not has_err and header != list(LABELS_HEADER):
+        if header != list(LABELS_HEADER):
             raise ValueError(f"line 1: unexpected header {header}")
-        want = len(LABELS_HEADER) + (1 if has_err else 0)
 
         records: list[OilRecord] = []
         seen: set[str] = set()
         for line, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != want:
-                raise ValueError(f"line {line}: expected {want} fields, got {len(row)}")
+            if len(row) != len(LABELS_HEADER):
+                raise ValueError(f"line {line}: expected {len(LABELS_HEADER)} fields, "
+                                 f"got {len(row)}")
             oil_id = row[0].strip()
             if not oil_id:
                 raise ValueError(f"line {line}: empty oil_id")
@@ -263,9 +268,8 @@ def load_labels(path: str | Path) -> list[OilRecord]:
                 quality = Quality(qcell)
             except ValueError:
                 raise ValueError(f"line {line}: bad quality {qcell!r}") from None
-            exp_error = _parse_cell(row[7], "exp_error", line) if has_err else None
             try:
-                records.append(OilRecord(oil_id, *vals, quality=quality, exp_error=exp_error))
+                records.append(OilRecord(oil_id, *vals, quality=quality))
             except ValueError as e:
                 raise ValueError(f"line {line}: {e}") from None
     return records
@@ -344,13 +348,16 @@ def load_spectra(
         for line, row in enumerate(reader, start=2):
             if len(row) != 3 + p:
                 raise ValueError(f"line {line}: expected {3 + p} fields, got {len(row)}")
-            spectra.append(Spectrum(
-                grid=grid,
-                intensities=np.array([float(v) for v in row[3:]]),
-                excitation_nm=int(row[1]),
-                oil_id=row[0],
-                repetition=int(row[2]),
-            ))
+            try:
+                spectra.append(Spectrum(
+                    grid=grid,
+                    intensities=np.array([float(v) for v in row[3:]]),
+                    excitation_nm=int(row[1]),
+                    oil_id=row[0],
+                    repetition=int(row[2]),
+                ))
+            except ValueError as e:
+                raise ValueError(f"line {line}: {e}") from None
             reps[row[0]] = reps.get(row[0], 0) + 1
     if not spectra:
         raise ValueError("spectra file holds no rows")
@@ -365,16 +372,11 @@ def load_spectra(
 
 
 def save_labels(records: Iterable[OilRecord], path: str | Path) -> None:
-    recs = list(records)
-    has_err = any(r.exp_error is not None for r in recs)
-    header = list(LABELS_HEADER) + (["exp_error"] if has_err else [])
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in recs:
+        writer.writerow(LABELS_HEADER)
+        for r in records:
             row = [r.oil_id]
             row += ["-" if r.value_of(p) is None else _fmt(r.value_of(p)) for p in PARAMETER_ORDER]
             row.append(r.quality.value)
-            if has_err:
-                row.append("-" if r.exp_error is None else _fmt(r.exp_error))
             writer.writerow(row)

@@ -10,8 +10,14 @@ against the classic leave-one-out failure mode where a network scores well
 on the held-out oil by memorizing label structure while train and
 validation errors drift apart.
 
+A run's error percentage, ``CvSummary.average_error_pct``, is each fold's
+validation MAE over the held-out oil's label, averaged over the oils whose
+label is nonzero.  No input carries a laboratory uncertainty per parameter,
+so no label error is reported beside it.
+
 ``summary.json`` is the run that ``report`` and ``compare`` read back through
-``summary_from_dict``; ``folds.csv`` and ``scatter.csv`` are exports.
+``summary_from_dict``; ``folds.csv`` and ``scatter.csv`` are exports, and
+``report`` writes ``scatter_all.csv`` from the summaries it read.
 
 Validation runs every ``nn.VAL_EVERY`` epochs and on the last one.  That
 cadence decides which snapshot a run selects, so it is a constant rather
@@ -28,15 +34,14 @@ checkpoint's train MAE is measured afresh on those very parameters anyway.
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, OilRecord, ParameterId, normalize
+from .data import Dataset, ParameterId, normalize
 from .nn import (
     DivergenceError,
     HyperParams,
@@ -63,6 +68,8 @@ class FoldResult:
         if not (np.isfinite([self.mae_train, self.mae_val]).all()
                 and np.isfinite(self.predictions).all()):
             raise DivergenceError(f"fold {self.held_out_oil}: non-finite MAE or predictions")
+        if not np.isfinite(self.true_value):
+            raise ValueError(f"fold {self.held_out_oil}: non-finite true value")
         if self.mae_train < 0 or self.mae_val < 0:
             raise ValueError("MAE cannot be negative")
         if self.chosen_checkpoint not in CHECKPOINT_KINDS:
@@ -71,12 +78,9 @@ class FoldResult:
 
 @dataclass(frozen=True)
 class CvSummary:
-    """A LOOCV run: every statistic derives from its folds, except the error
-    percentages, which need the records (``error_percentages``)."""
+    """A LOOCV run: every statistic derives from its folds."""
     parameter: ParameterId
     per_fold: tuple[FoldResult, ...]
-    average_error_pct: Optional[float] = None
-    label_error_pct: Optional[float] = None
 
     @property
     def n_oil(self) -> int:
@@ -112,6 +116,13 @@ class CvSummary:
         if self.mean_mae_train == 0.0:
             return 0.0 if self.mean_mae_val == 0.0 else float("inf")
         return abs(self.mean_mae_train - self.mean_mae_val) / self.mean_mae_train
+
+    @property
+    def average_error_pct(self) -> Optional[float]:
+        """Mean of each fold's validation MAE over the oil's true value, in
+        percent, over the oils with a nonzero label; None when there are none."""
+        ratios = [f.mae_val / abs(f.true_value) for f in self.per_fold if f.true_value != 0]
+        return 100.0 * float(np.mean(ratios)) if ratios else None
 
     def leakage_ratio(self) -> float:
         """Validation-to-train mean MAE ratio; large values suggest leakage."""
@@ -223,12 +234,14 @@ def loocv_checkpoint_runs(
     Folds are independent: each derives its own RNG stream from (seed,
     oil id), so results do not depend on execution order or on ``jobs``.
     With ``jobs`` > 1 each worker receives the full matrices once, when it
-    starts, and each task carries only the held-out oil id.
+    starts, and each task carries only the held-out oil id.  The pool starts
+    all its workers at once, so ``jobs`` is capped at the number of oils.
     """
     if dataset.n_oil < 3:
         raise ValueError("leave-one-out needs at least 3 oils")
     fold_args = (*design_matrices(dataset, parameter), hp, seed)
     oils = sorted({r.oil_id for r in dataset.records})
+    jobs = min(jobs, len(oils))
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
@@ -254,37 +267,6 @@ def select_checkpoint(best_val_run: CvSummary, best_train_run: CvSummary) -> CvS
     return best_val_run if ra <= rb else best_train_run
 
 
-def error_percentages(
-    summary: CvSummary,
-    records: Sequence[OilRecord],
-) -> tuple[float, Optional[float]]:
-    """Average prediction error and average label error, both in percent.
-
-    The first is each fold's validation MAE divided by the oil's true value,
-    averaged over oils; the second is the laboratory's experimental error
-    divided by the true value, averaged the same way.  Experimental errors
-    come from the records' ``exp_error`` field; when any oil lacks one, the
-    label error is reported as unavailable (None).
-    """
-    exp_errors = {r.oil_id: r.exp_error for r in records}
-    ratios, label_ratios, complete = [], [], True
-    for f in summary.per_fold:
-        err = exp_errors.get(f.held_out_oil)
-        complete = complete and err is not None
-        if f.true_value != 0:
-            ratios.append(f.mae_val / abs(f.true_value))
-            if complete:
-                label_ratios.append(err / abs(f.true_value))
-    if len(ratios) < summary.n_oil:
-        warnings.warn(f"{summary.n_oil - len(ratios)} oil(s) with zero label "
-                      "excluded from average error")
-    if not ratios:
-        raise ValueError("no nonzero labels to average over")
-    average_error_pct = 100.0 * float(np.mean(ratios))
-    label_error_pct = 100.0 * float(np.mean(label_ratios)) if complete else None
-    return average_error_pct, label_error_pct
-
-
 def loocv(
     dataset: Dataset,
     parameter: ParameterId,
@@ -293,11 +275,8 @@ def loocv(
     *,
     jobs: int = 1,
 ) -> CvSummary:
-    """Full protocol: both checkpoint runs, selection, error percentages."""
-    run_val, run_train = loocv_checkpoint_runs(dataset, parameter, hp, seed, jobs=jobs)
-    chosen = select_checkpoint(run_val, run_train)
-    avg_pct, label_pct = error_percentages(chosen, dataset.records)
-    return replace(chosen, average_error_pct=avg_pct, label_error_pct=label_pct)
+    """Full protocol: both checkpoint runs, then selection."""
+    return select_checkpoint(*loocv_checkpoint_runs(dataset, parameter, hp, seed, jobs=jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +294,6 @@ def summary_to_dict(summary: CvSummary) -> dict:
         "sd_mae_val": summary.sd_mae_val,
         "var_mae_val": summary.var_mae_val,
         "average_error_pct": summary.average_error_pct,
-        "label_error_pct": summary.label_error_pct,
         "comparability_ratio": summary.comparability_ratio,
         "leakage_ratio": summary.leakage_ratio(),
         "folds": [
@@ -345,15 +323,11 @@ def summary_from_dict(d: dict) -> CvSummary:
     by ``FoldResult``, ignoring the stored aggregates.  Bad input: ``ValueError``."""
     try:
         folds = tuple(_fold_from_dict(f) for f in d["folds"])
-        pcts = [None if d[k] is None else float(d[k])
-                for k in ("average_error_pct", "label_error_pct")]
-        summary = CvSummary(ParameterId(d["parameter"]), folds, *pcts)
+        summary = CvSummary(ParameterId(d["parameter"]), folds)
     except (KeyError, TypeError, OverflowError, DivergenceError) as e:
         raise ValueError(f"malformed summary ({type(e).__name__}: {e})") from e
     if len({f.held_out_oil for f in folds}) < max(3, len(folds)):
         raise ValueError("summary folds must hold out at least 3 distinct oils")
-    if not np.isfinite([p for p in pcts if p is not None]).all():
-        raise ValueError("summary error percentages must be finite")
     return summary
 
 
@@ -376,15 +350,12 @@ def save_fold_csv(summary: CvSummary, path: str | Path) -> None:
                      f"{f.mae_train!r},{f.mae_val!r},{f.chosen_checkpoint}\n")
 
 
-def save_scatter_csv(summary: CvSummary, records: Sequence[OilRecord],
-                     path: str | Path) -> None:
-    """Predicted-vs-true pairs, one row per held-out spectrum."""
-    errs = {r.oil_id: r.exp_error for r in records}
+def save_scatter_csv(summaries: Sequence[CvSummary], path: str | Path) -> None:
+    """Predicted-vs-true pairs, one row per held-out spectrum of each run."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("parameter,oil_id,repetition,true_value,predicted,exp_error\n")
-        for f in summary.per_fold:
-            band = errs.get(f.held_out_oil)
-            btxt = "" if band is None else repr(float(band))
-            for rep, p in enumerate(f.predictions, start=1):
-                fh.write(f"{summary.parameter.value},{f.held_out_oil},{rep},"
-                         f"{f.true_value!r},{p!r},{btxt}\n")
+        fh.write("parameter,oil_id,repetition,true_value,predicted\n")
+        for s in summaries:
+            for f in s.per_fold:
+                for rep, p in enumerate(f.predictions, start=1):
+                    fh.write(f"{s.parameter.value},{f.held_out_oil},{rep},"
+                             f"{f.true_value!r},{p!r}\n")

@@ -28,6 +28,13 @@ def edited_run(run_dir, dest, edit):
     return dest
 
 
+def _set_cell(rows, line, column, value):
+    """CSV ``rows`` with the cell at 1-based ``line`` and 0-based ``column`` replaced."""
+    cells = rows[line - 1].split(",")
+    cells[column] = value
+    return rows[:line - 1] + [",".join(cells)] + rows[line:]
+
+
 GEN_SMALL = ["generate", "--pixels", 96, "--repetitions", 2, "--seed", 7]
 LOOCV_QUICK = ["--epochs", 4, "--ksize1", 9, "--ksize2", 3, "--pool", 4,
                "--filters1", 2, "--filters2", 2, "--dense1", 6, "--dense2", 3,
@@ -343,10 +350,44 @@ class TestReport:
     def test_summary_without_table_keys_exit_2(self, tmp_path, capsys):
         (tmp_path / "summary.json").write_text(json.dumps(
             {"parameter": "acidity", "folds": [{"held_out_oil": "oil01"}]}))
-        (tmp_path / "scatter.csv").write_text("")
         assert run(["report", tmp_path]) == 2
         assert capsys.readouterr().err == \
             f"error: {tmp_path}: malformed summary (KeyError: 'predictions')\n"
+
+    def test_scatter_all_is_the_runs_scatter_files(self, dataset_dir, loocv_dir, tmp_path):
+        k270 = tmp_path / "k270"
+        assert run(["loocv", "--data", dataset_dir, "--parameter", "k270",
+                    "--seed", 3, "--out", k270] + LOOCV_QUICK) == 0
+        acidity = shutil.copytree(loocv_dir, tmp_path / "acidity")
+        files = [(r / "scatter.csv").read_text().splitlines(keepends=True)
+                 for r in (acidity, k270)]
+        for r in (acidity, k270):
+            (r / "scatter.csv").unlink()  # report builds scatter_all.csv from the summaries
+        assert run(["report", acidity, k270, "--out", tmp_path / "rep"]) == 0
+        assert (tmp_path / "rep" / "scatter_all.csv").read_text() == \
+            "".join(files[0] + files[1][1:])
+        assert files[0][0] == "parameter,oil_id,repetition,true_value,predicted\n"
+
+    def test_run_written_before_exp_error_removal_loads(self, loocv_dir, tmp_path, capsys):
+        # older runs store "label_error_pct": null and an empty exp_error column
+        old = edited_run(loocv_dir, tmp_path / "old", lambda s: s.update(label_error_pct=None))
+        rows = (old / "scatter.csv").read_text().splitlines()
+        (old / "scatter.csv").write_text(
+            "".join(f"{r},{'exp_error' if i == 0 else ''}\n" for i, r in enumerate(rows)))
+        assert run(["report", loocv_dir]) == 0
+        expected = capsys.readouterr().out
+        assert run(["report", old]) == 0
+        assert capsys.readouterr().out == expected
+        summary = json.loads((loocv_dir / "summary.json").read_text())
+        cells = expected.splitlines()[2].split()
+        assert cells[1] == f"{summary['mean_mae_train']:.3g}"
+        assert cells[3] == f"{summary['mean_mae_val']:.3g}"
+
+    def test_two_runs_of_one_parameter_warn(self, loocv_dir, tmp_path, capsys):
+        other = shutil.copytree(loocv_dir, tmp_path / "other")
+        assert run(["report", loocv_dir, other, "--out", tmp_path / "rep"]) == 0
+        assert f"warning: {loocv_dir} and {other} both hold acidity; " \
+               f"predictions.csv takes {other}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", [
         lambda s: s["folds"][0].update(predictions="0.5"),
@@ -379,6 +420,26 @@ class TestExitCodes:
         assert run(self.argv(command, dataset_dir, tmp_path / "o")) == cli.EXIT_INTERNAL == 1
         err = capsys.readouterr().err
         assert err.startswith("internal error: ") and "planted fault" in err
+
+    @pytest.mark.parametrize("command, name, edit, where", [
+        ("loocv", "spectra.csv", lambda rows: _set_cell(rows, 4, 10, "nan"), "line 4"),
+        ("train", "spectra.csv", lambda rows: _set_cell(rows, 4, 10, "-inf"), "line 4"),
+        ("loocv", "labels.csv", lambda rows: _set_cell(rows, 2, 1, "nan"), "line 2"),
+        ("loocv", "labels.csv",
+         lambda rows: [rows[0] + ",exp_error"] + [r + ",0.1" for r in rows[1:]], "line 1"),
+        ("classify", "labels.csv", lambda rows: _set_cell(rows, 2, 1, "nan"), "line 2"),
+        ("classify", "labels.csv", lambda rows: _set_cell(rows, 3, 2, "inf"), "line 3"),
+    ], ids=["nan-spectrum-loocv", "inf-spectrum-train", "nan-label", "exp-error-header",
+            "nan-classify", "inf-classify"])
+    def test_bad_input_cell_exits_2_naming_its_line(self, dataset_dir, tmp_path, capsys,
+                                                    command, name, edit, where):
+        data = shutil.copytree(dataset_dir, tmp_path / "ds")
+        rows = (data / name).read_text().splitlines()
+        (data / name).write_text("\n".join(edit(rows)) + "\n")
+        argv = (["classify", "--input", data / name] if command == "classify"
+                else self.argv(command, data, tmp_path / "o"))
+        assert run(argv) == cli.EXIT_INPUT
+        assert f"{where}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "loocv"])
     def test_impossible_architecture_exits_2(self, dataset_dir, tmp_path, capsys, command):

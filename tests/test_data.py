@@ -129,15 +129,6 @@ class TestLoadLabels:
         with pytest.raises(ValueError, match=r"^line 2: D01: acidity must be nonnegative"):
             load_labels(p)
 
-    def test_exp_error_column_roundtrip(self, tmp_path):
-        p = tmp_path / "err.csv"
-        recs = [OilRecord("A1", 0.3, 5.0, 0.1, 1.5, 10.0, Quality.EVOO, exp_error=0.05),
-                OilRecord("A2", 0.4, None, None, None, None, Quality.LOO, exp_error=0.1)]
-        dmod.save_labels(recs, p)
-        back = load_labels(p)
-        assert back[0].exp_error == 0.05
-        assert back[1].peroxide is None
-
 
 class TestFilterForParameter:
     def test_table_counts(self, bundled_records, small_dataset):

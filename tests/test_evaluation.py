@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,6 @@ from olivenet.data import OilRecord, ParameterId, Quality
 from olivenet.evaluation import (
     CvSummary,
     FoldResult,
-    error_percentages,
     loocv,
     loocv_checkpoint_runs,
     mae,
@@ -180,6 +180,36 @@ class TestDeterminismAndParallelism:
         parallel = loocv(ds, ParameterId.ACIDITY, hp, seed=7, jobs=2)
         assert summary_to_json(serial) == summary_to_json(parallel)
 
+    def test_jobs_capped_at_oil_count(self, bundled_records, monkeypatch):
+        # the pool starts every worker at once, each with the full matrices
+        pools = []
+
+        class InlinePool:
+            """Records the pool size and runs the folds in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        ds = tiny_dataset(bundled_records[:3], reps=2)
+        hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 2,
+                            "dense_sizes": QUICK_HP.dense_sizes})
+        serial = loocv(ds, ParameterId.ACIDITY, hp, seed=7, jobs=1)
+        monkeypatch.setattr(emod, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(emod, "_WORKER_ARGS", ())
+        wide = loocv(ds, ParameterId.ACIDITY, hp, seed=7, jobs=8)
+        assert pools == [3]
+        assert summary_to_json(wide) == summary_to_json(serial)
+
 
 class TestFoldResult:
     @pytest.mark.parametrize("mae_train, mae_val, preds", [
@@ -247,26 +277,18 @@ class TestAggregates:
 class TestErrorPercentages:
     def test_single_oil_ten_percent(self):
         s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2], labels=[2.0, 2.0])
-        recs = [OilRecord("O00", 2.0, None, None, None, None, Quality.VOO),
-                OilRecord("O01", 2.0, None, None, None, None, Quality.VOO)]
-        avg, label = error_percentages(s, recs)
-        assert avg == pytest.approx(10.0)
-        assert label is None  # no experimental errors supplied
+        assert s.average_error_pct == pytest.approx(10.0)
 
-    def test_label_errors_all_ten_percent(self):
-        s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2], labels=[2.0, 4.0])
-        recs = [OilRecord("O00", 2.0, None, None, None, None, Quality.VOO, exp_error=0.2),
-                OilRecord("O01", 4.0, None, None, None, None, Quality.VOO, exp_error=0.4)]
-        _, label = error_percentages(s, recs)
-        assert label == pytest.approx(10.0)
-
-    def test_zero_label_excluded_with_warning(self):
+    def test_zero_label_excluded(self):
         s = _summary(ParameterId.ACIDITY, [0.1, 0.1], [0.2, 0.2], labels=[0.0, 2.0])
-        recs = [OilRecord("O00", 0.0, None, None, None, None, Quality.VOO),
-                OilRecord("O01", 2.0, None, None, None, None, Quality.VOO)]
-        with pytest.warns(UserWarning):
-            avg, _ = error_percentages(s, recs)
-        assert avg == pytest.approx(10.0)
+        assert s.average_error_pct == pytest.approx(10.0)
+
+    def test_all_zero_labels_give_none(self):
+        hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 1,
+                            "dense_sizes": QUICK_HP.dense_sizes})
+        s = loocv(tiny_dataset(constant_records(3, 0.0)), ParameterId.ACIDITY, hp, seed=1)
+        assert s.average_error_pct is None
+        assert summary_from_dict(json.loads(summary_to_json(s))).average_error_pct is None
 
 
 class TestSerialization:
@@ -276,7 +298,7 @@ class TestSerialization:
                             "dense_sizes": QUICK_HP.dense_sizes})
         s = loocv(ds, ParameterId.ACIDITY, hp, seed=2)
         emod.save_fold_csv(s, tmp_path / "folds.csv")
-        emod.save_scatter_csv(s, ds.records, tmp_path / "scatter.csv")
+        emod.save_scatter_csv([s], tmp_path / "scatter.csv")
         folds = (tmp_path / "folds.csv").read_text().splitlines()
         scatter = (tmp_path / "scatter.csv").read_text().splitlines()
         assert len(folds) == 1 + 4
@@ -284,7 +306,6 @@ class TestSerialization:
         assert folds[0].startswith("parameter,held_out_oil,")
 
     def test_json_round_trips_values(self, bundled_records):
-        import json
         ds = tiny_dataset(bundled_records[:4], reps=2)
         hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 3,
                             "dense_sizes": QUICK_HP.dense_sizes})
@@ -302,7 +323,7 @@ class TestSerialization:
         lambda d: d.update(folds=d["folds"][:2]),
         lambda d: d.update(folds=d["folds"] + d["folds"][:1]),
         lambda d: d.update(parameter="acidty"),
-        lambda d: d.update(average_error_pct=float("nan")),
+        lambda d: d["folds"][0].update(true_value=float("nan")),
         lambda d: d["folds"][0].update(predictions="12"),
         lambda d: d["folds"][0].update(held_out_oil=3),
         lambda d: d["folds"][0].update(mae_val=float("nan")),
@@ -314,8 +335,7 @@ class TestSerialization:
         folds = [{"held_out_oil": f"O{i}", "true_value": 1.0, "mae_train": 0.1,
                   "mae_val": 0.2, "chosen_checkpoint": "best_val_loss",
                   "predictions": [1.1, 0.9]} for i in range(3)]
-        d = {"parameter": "acidity", "average_error_pct": 20.0, "label_error_pct": None,
-             "folds": folds}
+        d = {"parameter": "acidity", "folds": folds}
         assert summary_from_dict(d).mean_mae_val == pytest.approx(0.2)
         edit(d)
         with pytest.raises(ValueError):
