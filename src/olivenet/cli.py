@@ -283,8 +283,15 @@ def _read_parameter_table(path: Path) -> list[tuple[str, dict]]:
             values = {}
             for p in dmod.PARAMETER_ORDER:
                 cell = (row[p.value] or "").strip()
-                values[p] = None if cell in ("", "-") else float(cell)
-                if values[p] is not None and not np.isfinite(values[p]):
+                if cell in ("", "-"):
+                    values[p] = None
+                    continue
+                try:
+                    values[p] = float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: line {reader.line_num}: "
+                                     f"{p.value} {cell!r} is not a number") from None
+                if not np.isfinite(values[p]):
                     raise ValueError(f"{path}: line {reader.line_num}: "
                                      f"{p.value} {cell!r} is not finite")
             rows.append((row["oil_id"], values))

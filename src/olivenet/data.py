@@ -73,6 +73,9 @@ class WavelengthGrid:
         v = _readonly(np.asarray(self.values, dtype=float))
         if v.ndim != 1 or v.size < 2:
             raise ValueError("wavelength grid needs at least two pixels")
+        # np.diff of an infinite end is infinite, which the ordering check passes
+        if not np.isfinite(v).all():
+            raise ValueError("wavelength grid values must be finite")
         if not np.all(np.diff(v) > 0):
             raise ValueError("wavelength grid must be strictly increasing")
         object.__setattr__(self, "values", v)
@@ -314,7 +317,10 @@ def save_grid(grid: WavelengthGrid, path: str | Path) -> None:
 
 def load_grid(path: str | Path) -> WavelengthGrid:
     lines = Path(path).read_text(encoding="utf-8").split()
-    return WavelengthGrid(np.array([float(t) for t in lines]))
+    try:
+        return WavelengthGrid(np.array([float(t) for t in lines]))
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_spectra(dataset: Dataset, path: str | Path) -> None:

@@ -26,56 +26,70 @@ Convolutions are valid (no padding), stride 1.  Two implementations coexist:
   fixed order (bias first, then filter taps with the kernel index innermost
   and the input channel outer) so a brute-force loop reproduces it bit for
   bit;
-* the batched engine evaluates the same maps through FFT cross-correlation
-  and matrix products.  It is free to reassociate floating-point sums, so
-  it matches the contract ops to ~1e-13 relative rather than bitwise; the
-  tests pin both paths together.
+* the batched engine evaluates the same maps through matrix products and,
+  for conv2, FFT cross-correlation.  It is free to reassociate
+  floating-point sums, so it matches the contract ops to ~1e-13 relative
+  rather than bitwise; the tests pin both paths together.
 
-The engine's transforms come from ``numpy.fft``, so numpy is the package's
-only runtime dependency.  ``scipy.fft`` runs the same pocketfft code and
-gives the same bits, but importing it more than doubles the start-up of
-every ``olivenet`` command.  Conv1 transforms the whole input unpadded.
-Conv2 pads its transforms to the next power of two at or above the pooled
-length (128 for 123 positions), which measured faster than the nearest
-11-smooth length at both pool sizes of the tuning grid.  Its channel sums,
-forward and backward, are batched ``np.matmul`` products with the frequency
-axis leading, which beat ``einsum``'s complex loops at these sizes.  The
-conv1 filter gradient keeps ``einsum``: there it is one batched dot, and
-matmul measured no faster.
+Conv1 is a block-Toeplitz matrix product (Chellapilla, Puri & Simard
+2006).  Each spectrum is cut into one block of w = pool + k1 - 1 samples
+per pooling window, and ``_gather_blocks`` copies a batch's blocks through
+a zero-copy strided view into one (B, lp, w) array.  A fixed (pool*C1, w)
+operator, whose row r*C1 + c holds filter c shifted right by r, turns them
+into the conv1 map in one batched ``np.matmul``, offset-major:
+(pool, C1, B, lp).  The window max and its first maximum are then
+reductions over the leading axis, which numpy runs elementwise across
+whole rows (``_pool_argmax``).  The biases enter after the max, which is
+exact because rounding is monotone.  The backward pass overwrites the map
+with its gradient, a one-hot mask of each window's first maximum times the
+pooled gradient, and one more batched product with the same blocks gives
+the operator's gradient; the filter gradient sums its shifted diagonals.
+The blocks hold w/pool = 5.9 copies of each sample at the default sizes,
+where k1-wide sliding windows (im2col) would hold k1 = 40.
+
+The products are batched per spectrum, not one per batch.  One spectrum's
+product, pool*C1 x w x lp = 277k multiply-adds at the default sizes (322k
+at pool 16), stays under 2**19 = 524k, below which OpenBLAS runs a product
+on one thread.  OpenBLAS threads one product per batch, and then results
+depend on the BLAS thread count, because it rounds a tail or a last
+reduction block differently for each split among threads; and ``loocv
+--jobs N`` on N cores runs N BLAS threads per worker, which measured three
+times slower per epoch.
+
+Conv2 keeps FFT cross-correlation from ``numpy.fft``, so numpy is the
+package's only runtime dependency.  ``scipy.fft`` runs the same pocketfft
+code and gives the same bits, but importing it more than doubles the
+start-up of every ``olivenet`` command.  Conv2 pads its transforms to the
+next power of two at or above the pooled length (128 for 123 positions),
+which measured faster than the nearest 11-smooth length at both pool sizes
+of the tuning grid.  Its channel sums, forward and backward, are batched
+``np.matmul`` products with the frequency axis leading, which beat
+``einsum``'s complex loops at these sizes.
 
 The batched engine has two paths:
 
 * the training step (``_train_step``) runs one mini-batch: the forward
   pass, the MSE gradient and the backward pass in one scope, so what the
-  backward pass needs, such as the first-occurrence argmax of every pool
-  window, stays in plain locals.  It pools (``_pool_argmax``) through an
-  offset-major copy of the conv1 map, (B, C1, pool, L), where the window
-  max and the first maximum's index are reductions over a middle axis, and
-  one flat index into the map routes the gradient back.  The two buffers
-  that ``train`` reuses across batches do double and triple duty: the conv1
-  map goes into ``g1``, which holds the conv1 map gradient only after
-  pooling; ``spec`` holds the conv1 spectra, then, once the map exists, the
-  pooling's window copy, then the spectrum of the map gradient.  Freshly
-  allocated, these conv1-map-sized arrays would be handed back to the OS by
-  glibc and faulted in again at every batch;
+  backward pass needs, such as the first-occurrence offset of every pool
+  window, stays in plain locals.  ``train`` reuses two 3 MB buffers
+  across batches, so a batch allocates no conv1-sized array: ``room``
+  for the batch's blocks and ``buf`` for the conv1 map, which the map's
+  gradient overwrites;
 * the inference pass (``_infer``), behind ``forward`` and the validation
-  loss in ``train``, keeps no cache.  It pools with a running
-  ``np.maximum`` over the ``pool`` offsets, with no argmax, and walks its
-  input ``INFER_CHUNK`` rows at a time, so its working set does not grow
-  with the batch: scoring 420 spectra needs no more memory than scoring 64.
+  loss in ``train``, keeps no cache.  It takes the window max only, with no
+  argmax, and walks its input ``INFER_CHUNK`` rows at a time, so its
+  working set does not grow with the batch: scoring 420 spectra needs no
+  more memory than scoring 64.
 
-Both paths take the filters' transforms from ``_filter_spectra``, which
-memoizes conv1's conjugated filter spectrum and conv2's filter spectrum on
-the ``Network``, keyed on the two filter arrays' shapes and bytes.  The key
-is their content, not a version counter, because parameters change in
-place by routes no counter sees: Adam, ``set_parameters``, a plain element
+Both paths take the filter operators from ``_filter_operators``, which
+memoizes conv1's block-Toeplitz operator and conv2's filter spectrum on the
+``Network``, keyed on the two filter arrays' shapes and bytes.  The key is
+their content, not a version counter, because parameters change in place
+by routes no counter sees: Adam, ``set_parameters``, a plain element
 write, a replaced layer.  Checking the key copies and compares under 6 kB
-of filters at the default sizes, far cheaper than the two transforms it
-saves.  A forward on unchanged weights, one graded spectrum, then makes 4
-transforms instead of 6, a chunked forward no longer re-transforms the
-filters per chunk, and a training step transforms conv2's filters once,
-not twice.  The spectra come from the same ``np.fft`` calls on the same
-arrays, so every result is bitwise unchanged.
+of filters at the default sizes, far cheaper than the operators it saves
+rebuilding.  A forward on unchanged weights makes 2 transforms per chunk
+of rows, and a training step builds each operator once.
 
 Training is mini-batch gradient descent with Adam-style adaptive moments;
 validation runs every ``VAL_EVERY`` epochs, a fixed part of the protocol.
@@ -218,8 +232,8 @@ class Network:
     hp: HyperParams
     input_len: int
     shapes: dict[str, int] = field(default_factory=dict)
-    #: ``_filter_spectra``'s memo: (key, spectra).  Derived state, never an input.
-    _spectra: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    #: ``_filter_operators``'s memo: (key, operators).  Derived state, never an input.
+    _operators: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays in checkpoint order."""
@@ -438,63 +452,86 @@ def build_network(hp: HyperParams, input_len: int, rng: np.random.Generator) -> 
 
 
 # ---------------------------------------------------------------------------
-# mini-batch engine (FFT path)
+# mini-batch engine
 # ---------------------------------------------------------------------------
 
-def _fft_sizes(net: Network) -> tuple[int, int]:
-    n1 = net.input_len                      # >= conv1 input length, no padding needed
-    n2 = 1 << (net.shapes["pool"] - 1).bit_length()  # power of two >= pooled length
-    return n1, n2
+def _fft_len(net: Network) -> int:
+    """conv2's transform length: the power of two at or above the pooled length."""
+    return 1 << (net.shapes["pool"] - 1).bit_length()
 
 
-def _filter_spectra(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """conv1's conjugated filter spectrum (C1, n1//2 + 1) and conv2's (C2, C1, n2//2 + 1).
+def _shifted(a: np.ndarray, k: int) -> np.ndarray:
+    """The view [r, c, i] -> a[r, c, r + i] of a (pool, C, w) array, i < k."""
+    s0, s1, s2 = a.strides
+    return np.lib.stride_tricks.as_strided(a, (a.shape[0], a.shape[1], k), (s0 + s2, s1, s2))
 
-    Memoized on ``net`` under the filters' bytes and shapes, so a forward
-    pass on unchanged weights transforms only its input and maps.  The
-    arrays are shared by every later call, hence read-only.
+
+def _filter_operators(net: Network) -> tuple[np.ndarray, np.ndarray]:
+    """conv1's block-Toeplitz operator (pool*C1, w) and conv2's filter spectrum (C2, C1, F).
+
+    Row r*C1 + c of the operator holds filter c shifted right by r, so its
+    product with a block of w = pool + k1 - 1 samples gives conv1 at offset
+    r of that block's pooling window.  Memoized on ``net`` under the
+    filters' bytes and shapes, so a forward pass on unchanged weights builds
+    neither.  The arrays are shared by every later call, hence read-only.
     """
-    n1, n2 = _fft_sizes(net)
     f1, f2 = net.conv1.filters, net.conv2.filters
     key = (f1.shape, f2.shape, f1.tobytes(), f2.tobytes())
-    if net._spectra is None or net._spectra[0] != key:
-        spectra = np.conj(np.fft.rfft(f1[:, 0, :], n=n1)), np.fft.rfft(f2, n=n2)
-        for s in spectra:
-            s.flags.writeable = False
-        net._spectra = key, spectra
-    return net._spectra[1]
+    if net._operators is None or net._operators[0] != key:
+        c1, _, k1 = f1.shape
+        pool = net.hp.pool
+        toeplitz = np.zeros((pool, c1, pool + k1 - 1))
+        _shifted(toeplitz, k1)[...] = f1[:, 0, :]
+        ops = toeplitz.reshape(pool * c1, -1), np.fft.rfft(f2, n=_fft_len(net))
+        for op in ops:
+            op.flags.writeable = False
+        net._operators = key, ops
+    return net._operators[1]
 
 
-def _spectrum_buffer(net: Network, rows: int) -> np.ndarray:
-    """Room for the conv1 spectra of ``rows`` inputs, for ``_conv1_map``."""
-    n1, _ = _fft_sizes(net)
-    return np.empty((rows, net.hp.filters1, n1 // 2 + 1), complex)
+def _conv1_room(net: Network, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for the blocks (b, lp, w) and the conv1 map (pool*C1, b*lp) of up to ``b`` spectra."""
+    lp = net.shapes["pool"]
+    return (np.empty((b, lp, net.hp.pool + net.hp.ksize1 - 1)),
+            np.empty((net.hp.pool * net.hp.filters1, b * lp)))
 
 
-def _conv1_map(net: Network, fx: np.ndarray, spec: np.ndarray,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Raw conv1 map (B, C1, n1) from the input spectra ``fx`` (B, n1//2 + 1).
+def _gather_blocks(net: Network, x: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """The pool-strided blocks (B, lp, w) of the spectra ``x`` (B, P), copied into ``room``.
 
-    ``spec`` is a buffer with at least B rows for the product of the
-    spectra; ``out``, if given, receives the map.  Biases enter through the
-    DC bin.  Only the first pool*floor(L1/pool) positions are used: the
-    trailing partial window never reaches pooling.
+    Block (b, j) is x[b, j*pool : j*pool + w], read through a zero-copy
+    strided view of ``x``; the last block ends at lp*pool + k1 - 1 <= P,
+    inside the row.  Returns room[:B].
     """
-    n1, _ = _fft_sizes(net)
-    spec = np.multiply(fx[:, None, :], _filter_spectra(net)[0], out=spec[:fx.shape[0]])
-    spec[:, :, 0] += n1 * net.conv1.biases
-    return np.fft.irfft(spec, n=n1, out=out)
+    b, lp, pool = x.shape[0], net.shapes["pool"], net.hp.pool
+    s0, s1 = x.strides
+    xb = room[:b]
+    np.copyto(xb, np.lib.stride_tricks.as_strided(
+        x, xb.shape, (s0, pool * s1, s1), writeable=False))
+    return xb
+
+
+def _conv1_map(net: Network, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Conv1 without biases of the spectra whose blocks are ``xb`` (B, lp, w).
+
+    Returns the map offset-major, (pool, C1, B, lp), a view of the first
+    B*lp columns of ``out`` (pool*C1, >= B*lp).
+    """
+    b, lp, _ = xb.shape
+    v = out[:, :b * lp].reshape(-1, b, lp)
+    np.matmul(_filter_operators(net)[0], xb.transpose(0, 2, 1), out=v.transpose(1, 0, 2))
+    return v.reshape(net.hp.pool, net.hp.filters1, b, lp)
 
 
 def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conv2 over the pooled maps; returns (rfft of x2, pre-activation map).
+    """conv2 over the pooled maps (C1, B, lp); returns (rfft of x2, pre-activation map).
 
     The rfft comes back frequency-leading, (F, B, C1), the layout of the
     batched matmuls that contract conv2's channels here and in the step.
     """
-    _, n2 = _fft_sizes(net)
-    fx2 = np.fft.rfft(x2, n=n2).transpose(2, 0, 1)
-    spec2 = fx2 @ np.conj(_filter_spectra(net)[1]).transpose(2, 1, 0)
+    n2 = _fft_len(net)
+    fx2 = np.fft.rfft(x2, n=n2).transpose(2, 1, 0)
+    spec2 = fx2 @ np.conj(_filter_operators(net)[1]).transpose(2, 1, 0)
     spec2[0] += n2 * net.conv2.biases
     return fx2, np.fft.irfft(spec2.transpose(1, 2, 0), n=n2)[:, :, :net.shapes["conv2"]]
 
@@ -516,66 +553,56 @@ def _check_batch(net: Network, x: np.ndarray) -> None:
 def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time."""
     _check_batch(net, x)
-    pool = net.hp.pool
-    lpp = net.shapes["pool"] * pool
+    bias = net.conv1.biases[:, None, None]
+    room, buf = _conv1_room(net, min(x.shape[0], INFER_CHUNK))
     pred = np.empty(x.shape[0])
-    spec = _spectrum_buffer(net, min(x.shape[0], INFER_CHUNK))
     for lo in range(0, x.shape[0], INFER_CHUNK):
-        v1 = _conv1_map(net, np.fft.rfft(x[lo:lo + INFER_CHUNK], n=net.input_len), spec)
-        # the 0.0 floor is the ReLU: max(0, a, b, ...) == relu(max(a, b, ...))
-        x2 = np.maximum(v1[:, :, 0:lpp:pool], 0.0)
-        for k in range(1, pool):
-            np.maximum(x2, v1[:, :, k:lpp:pool], out=x2)
+        rows = x[lo:lo + INFER_CHUNK]
+        top = _conv1_map(net, _gather_blocks(net, rows, room), buf).max(axis=0)
+        # the bias enters after the max, exactly: rounding is monotone
+        x2 = np.maximum(np.add(top, bias, out=top), 0.0, out=top)
         _, y2 = _conv2(net, x2)
-        pred[lo:lo + INFER_CHUNK] = _dense_head(net, np.maximum(y2, 0.0).reshape(len(x2), -1))[0]
+        flat = np.maximum(y2, 0.0).reshape(len(rows), -1)
+        pred[lo:lo + INFER_CHUNK] = _dense_head(net, flat)[0]
     return pred
 
 
-def _pool_argmax(v1: np.ndarray, pool: int, lp: int, buf: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Max pooling of the maps ``v1`` (B, C, n) into (B, C, lp) windows.
+def _pool_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max pooling of offset-major maps ``v`` (pool, ...) over their leading axis.
 
-    Returns the window maxima and, for each window, the flat index into
-    ``v1`` of its first maximum, as ``maxpool_forward`` picks it.  ``buf``
-    is flat float64 room for B*C*lp*pool values: the windows are copied into
-    it offset-major, (B, C, pool, lp), so that both reductions run over a
-    middle axis, which numpy does elementwise across whole rows, where
-    ``argmax`` along a short last axis loops window by window.
+    Returns the window maxima and each window's offset of its first
+    maximum, as ``maxpool_forward`` picks it, both shaped ``v.shape[1:]``.
+    Both are reductions over the leading axis, which numpy runs elementwise
+    across whole rows.
     """
-    b, c, n = v1.shape
-    lpp = lp * pool
-    win = buf[:b * c * lpp].reshape(b, c, pool, lp)
-    np.copyto(win, v1[:, :, :lpp].reshape(b, c, lp, pool).transpose(0, 1, 3, 2))
-    top = win.max(axis=2)
-    # Offset k weighs pool-1-k where it holds the max, so the largest weight
+    pool = v.shape[0]
+    top = v.max(axis=0)
+    # Offset r weighs pool-1-r where it holds the max, so the largest weight
     # marks the first occurrence.  A NaN window matches nowhere and routes
     # to its last offset, still inside the window.
-    weight = (pool - 1 - np.arange(pool, dtype=np.min_scalar_type(pool - 1)))[:, None]
-    rel = (pool - 1) - ((win == top[:, :, None, :]) * weight).max(axis=2)
-    start = np.arange(0, b * c * n, n)[:, None] + np.arange(0, lpp, pool)
-    return top, start.reshape(b, c, lp) + rel
+    weight = np.arange(pool - 1, -1, -1, dtype=np.min_scalar_type(pool - 1))
+    return top, (pool - 1) - ((v == top) * weight.reshape(-1, *(1,) * top.ndim)).max(axis=0)
 
 
-def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
-                rng: Optional[np.random.Generator], spec: np.ndarray, g1: np.ndarray):
+def _train_step(net: Network, xb: np.ndarray, y: np.ndarray,
+                rng: Optional[np.random.Generator], buf: np.ndarray):
     """One mini-batch step; returns (pred, grads), grads keyed like net.parameters().
 
-    ``fx`` is the batch's rfft (B, n1//2 + 1) and ``y`` its targets; the loss
-    is their MSE.  ``rng`` draws the dropout mask, the step's only draw, and
-    may be None when dropout is off.  ``spec`` (>= B, C1, n1//2 + 1) and
-    ``g1`` (>= B, C1, n1) are the buffers the step overwrites.
+    ``xb`` is the batch's blocks (B, lp, w), as ``_gather_blocks`` cuts
+    them, and ``y`` its targets; the loss is their MSE.  ``rng`` draws the
+    dropout mask, the step's only draw, and may be None when dropout is off.
+    ``buf`` (pool*C1, >= B*lp) is room the step overwrites: it holds the
+    conv1 map, then the conv1 map's gradient.
     """
-    n = fx.shape[0]
+    n = xb.shape[0]
     lp, l2 = net.shapes["pool"], net.shapes["conv2"]
-    pool, k1, k2 = net.hp.pool, net.hp.ksize1, net.hp.ksize2
-    n1, n2 = _fft_sizes(net)
+    pool, c1, k1, k2 = net.hp.pool, net.hp.filters1, net.hp.ksize1, net.hp.ksize2
+    n2 = _fft_len(net)
     rate = net.hp.dropout
-    spec, g1 = spec[:n], g1[:n]
 
-    # the conv1 map lives in g1, whose gradient role starts after pooling;
-    # spec, dead once the map exists, holds the pooling's window copy
-    v1 = _conv1_map(net, fx, spec, out=g1)
-    x2, fidx = _pool_argmax(v1, pool, lp, spec.view(float).reshape(-1))
+    v1 = _conv1_map(net, xb, buf)
+    x2, rel = _pool_argmax(v1)
+    x2 += net.conv1.biases[:, None, None]  # exact after the max: rounding is monotone
     np.maximum(x2, 0.0, out=x2)
 
     fx2, y2 = _conv2(net, x2)
@@ -600,17 +627,19 @@ def _train_step(net: Network, fx: np.ndarray, y: np.ndarray,
         (np.conj(fg2).transpose(0, 2, 1) @ fx2).transpose(1, 2, 0), n=n2)[:, :, :k2]
     d_cb2 = gy2.sum(axis=(0, 2))
     gx2 = np.fft.irfft(
-        (fg2 @ _filter_spectra(net)[1].transpose(2, 0, 1)).transpose(1, 2, 0),
+        (fg2 @ _filter_operators(net)[1].transpose(2, 0, 1)).transpose(2, 1, 0),
         n=n2)[:, :, :lp]
 
     # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing
     geff = gx2 * (x2 > 0)
-    g1.fill(0.0)
-    np.put(g1, fidx, geff)  # fidx indexes v1, whose memory g1 now holds
-    fg1 = np.fft.rfft(g1, n=n1, out=spec)
-    d_f1 = np.fft.irfft(
-        np.conj(np.einsum("bjf,bcf->cjf", np.conj(fx[:, None, :]), fg1)), n=n1)[:, :, :k1]
-    d_cb1 = geff.sum(axis=(0, 2))
+    # the map's gradient, geff at each window's first maximum, replaces the
+    # map: a one-hot mask times geff, which runs branch-free, unlike a
+    # masked copy or a scatter
+    g1 = np.equal(np.arange(pool, dtype=rel.dtype).reshape(-1, 1, 1, 1), rel, out=v1)
+    g1 *= geff
+    d_toeplitz = np.matmul(g1.reshape(pool * c1, n, lp).transpose(1, 0, 2), xb).sum(axis=0)
+    d_f1 = _shifted(d_toeplitz.reshape(pool, c1, -1), k1).sum(axis=0)[:, None, :]
+    d_cb1 = geff.sum(axis=(1, 2))
 
     return pred, {
         "conv1.filters": d_f1, "conv1.biases": d_cb1,
@@ -690,14 +719,9 @@ def train(
     _check_batch(net, spectra)
 
     n_total = spectra.shape[0]
-    fx_all = np.fft.rfft(spectra, n=net.input_len)  # inputs never change; hoist the FFT
     opt = Adam(net.parameters(), hp.learning_rate)
-    # Without these reused buffers every batch of the default network at
-    # B=64 allocates and frees 3 MB arrays.  Freed together at the top of
-    # the heap they exceed glibc's trim threshold, go back to the OS and are
-    # faulted in again by the next batch.
-    rows = min(hp.batch, n_total)
-    spec, g1 = _spectrum_buffer(net, rows), np.empty((rows, net.hp.filters1, net.input_len))
+    # the blocks and the conv1 map of every batch, 3 MB each at the defaults
+    room, buf = _conv1_room(net, min(hp.batch, n_total))
     trace: list[EpochRecord] = []
 
     for epoch in range(hp.epochs):
@@ -710,7 +734,8 @@ def train(
             for lo in range(0, n_total, hp.batch):
                 idx = order[lo:lo + hp.batch]
                 y = targets[idx]
-                pred, grads = _train_step(net, fx_all[idx], y, rng, spec, g1)
+                xb = _gather_blocks(net, spectra[idx], room)
+                pred, grads = _train_step(net, xb, y, rng, buf)
                 res = pred - y
                 sq_sum += float(res @ res)
                 opt.step(grads)

@@ -38,10 +38,8 @@ def small_dataset(bundled_records):
 
 def train_step(net, xs, ys, rng=None):
     """``nn._train_step`` on raw spectra (B, P): (pred, MSE gradients)."""
-    fx = np.fft.rfft(xs, n=net.input_len)
-    shape = (len(xs), net.hp.filters1)
-    return nn._train_step(net, fx, ys, rng, np.empty((*shape, fx.shape[1]), complex),
-                          np.empty((*shape, net.input_len)))
+    room, buf = nn._conv1_room(net, len(xs))
+    return nn._train_step(net, nn._gather_blocks(net, xs, room), ys, rng, buf)
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

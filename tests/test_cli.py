@@ -318,6 +318,14 @@ class TestClassify:
                     "--thresholds", cfg]) == 2
         assert "error: unknown config keys ['evoo.acidty']" in capsys.readouterr().err
 
+    def test_non_numeric_cell_exit_2_naming_file_line_column(self, tmp_path, capsys):
+        rows = dmod.bundled_labels_path().read_text().splitlines()
+        table = tmp_path / "table.csv"
+        table.write_text("\n".join(_set_cell(rows, 3, 1, "abc")) + "\n")
+        assert run(["classify", "--input", table]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {table}: line 3: acidity 'abc' is not a number\n")
+
     def test_writes_verdicts_csv(self, tmp_path):
         out = tmp_path / "v"
         assert run(["classify", "--input", dmod.bundled_labels_path(),
@@ -440,6 +448,14 @@ class TestExitCodes:
                 else self.argv(command, data, tmp_path / "o"))
         assert run(argv) == cli.EXIT_INPUT
         assert f"{where}: " in capsys.readouterr().err
+
+    def test_infinite_grid_value_exits_2_naming_the_grid(self, dataset_dir, tmp_path, capsys):
+        data = shutil.copytree(dataset_dir, tmp_path / "ds")
+        grid = (data / "grid.txt").read_text().split()
+        (data / "grid.txt").write_text("\n".join(grid[:-1] + ["inf"]) + "\n")
+        assert run(self.argv("loocv", data, tmp_path / "o")) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {data / 'grid.txt'}: wavelength grid values must be finite\n")
 
     @pytest.mark.parametrize("command", ["train", "loocv"])
     def test_impossible_architecture_exits_2(self, dataset_dir, tmp_path, capsys, command):

@@ -22,6 +22,13 @@ class TestWavelengthGrid:
         with pytest.raises(ValueError):
             WavelengthGrid(np.array([350.0]))
 
+    @pytest.mark.parametrize("values", [[350.0, np.inf], [-np.inf, 350.0, 351.0]],
+                             ids=["trailing-inf", "leading-minus-inf"])
+    def test_non_finite_value_rejected(self, values):
+        # np.diff gives inf > 0 here, so the ordering check alone passes them
+        with pytest.raises(ValueError, match="^wavelength grid values must be finite$"):
+            WavelengthGrid(np.array(values))
+
     def test_equality_is_bitwise(self):
         a = WavelengthGrid(np.linspace(350, 850, 64))
         b = WavelengthGrid(np.linspace(350, 850, 64))

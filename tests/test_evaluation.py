@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from olivenet.evaluation import (
 )
 from olivenet.nn import DivergenceError, HyperParams, ShapeError
 
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 QUICK_HP = HyperParams(filters1=2, filters2=2, ksize1=9, ksize2=3, pool=4,
                        dropout=0.0, epochs=30, batch=8, learning_rate=5e-3,
@@ -179,6 +186,29 @@ class TestDeterminismAndParallelism:
         serial = loocv(ds, ParameterId.ACIDITY, hp, seed=7, jobs=1)
         parallel = loocv(ds, ParameterId.ACIDITY, hp, seed=7, jobs=2)
         assert summary_to_json(serial) == summary_to_json(parallel)
+
+    def test_blas_thread_count_does_not_change_results(self):
+        # At 256 px one conv1 product per batch of the default network would
+        # hold about 4 million multiply-adds, which OpenBLAS splits among two
+        # threads when it may.
+        code = textwrap.dedent("""
+            from olivenet import data, evaluation, nn, synth
+            records = data.load_bundled_labels()[:4]
+            grid = data.default_grid(256)
+            ds = synth.generate_dataset(records, 395, 20, synth.default_generator_config(5), grid)
+            hp = nn.HyperParams(ksize2=3, epochs=3)
+            s = evaluation.loocv(ds, data.ParameterId.ACIDITY, hp, seed=7)
+            print(evaluation.summary_to_json(s), end="")
+        """)
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_jobs_capped_at_oil_count(self, bundled_records, monkeypatch):
         # the pool starts every worker at once, each with the full matrices

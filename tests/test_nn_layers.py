@@ -206,27 +206,27 @@ def planted_maps(rng, b, c, lp, pool):
 
 
 class TestStepPooling:
-    """``nn._pool_argmax``, the training step's pooling, against ``maxpool_forward``."""
+    """``nn._pool_argmax`` on offset-major maps against ``maxpool_forward``."""
 
     @pytest.mark.parametrize("pool", [1, 2, 8, 16, 130])
     def test_bitwise_equal_to_contract_op(self, pool, rng):
         b, c, lp = 3, 4, 5
         v1 = planted_maps(rng, b, c, lp, pool)
-        buf = np.full(b * c * lp * pool + 7, np.nan)
-        top, fidx = nn._pool_argmax(v1, pool, lp, buf)
-        rows, chans, pos = np.unravel_index(fidx, v1.shape)
+        # (pool, C, B, lp), the engine's layout: offset r of window j at [r, :, :, j]
+        v = v1[:, :, :lp * pool].reshape(b, c, lp, pool).transpose(3, 1, 0, 2).copy()
+        top, rel = nn._pool_argmax(v)
+        assert top.shape == rel.shape == (c, b, lp)
         for i in range(b):
             pooled, idx = maxpool_forward(v1[i], pool)
-            assert np.array_equal(top[i], pooled)
-            assert np.array_equal(pos[i], idx)
-            assert (rows[i] == i).all() and (chans[i] == np.arange(c)[:, None]).all()
+            assert np.array_equal(top[:, i], pooled)
+            assert np.array_equal(rel[:, i] + np.arange(lp) * pool, idx)
         if pool > 1:  # the tie planted at offsets 0 and pool-1 goes to 0
-            assert (pos[:, 0, 0] == 0).all()
+            assert (rel[0, :, 0] == 0).all()
 
     def test_nan_window_routes_inside_itself(self):
-        # a diverged run pools NaN maps; their index must stay in bounds
-        _, fidx = nn._pool_argmax(np.full((1, 2, 8), np.nan), 4, 2, np.empty(16))
-        assert np.array_equal(fidx // 4, [[[0, 1], [2, 3]]])
+        # a diverged run pools NaN maps; their offset must stay in the window
+        _, rel = nn._pool_argmax(np.full((4, 2, 1, 2), np.nan))
+        assert np.array_equal(rel, np.full((2, 1, 2), 3))
 
 
 class TestDense:
@@ -368,7 +368,7 @@ class TestNetworkForward:
     @pytest.mark.parametrize("p, n2", [(TOY_P, 32), (68, 32), (70, 64)])
     def test_matches_scalar_oracle_composition(self, p, n2, rng):
         net = build_network(TOY_HP, p, rng)
-        assert nn._fft_sizes(net)[1] == n2
+        assert nn._fft_len(net) == n2
         for _ in range(20):
             x = rng.standard_normal(p)
             fast = forward(net, x)
@@ -452,12 +452,13 @@ class TestFilterSpectraMemo:
 
 
 class TestTransformCounts:
-    """np.fft calls of the engine at the default shape, P=1024.
+    """np.fft calls and conv1 operator builds of the engine at the default shape, P=1024.
 
-    Each conv layer's filter bank is transformed once per parameter state:
-    a forward on unchanged filters transforms only its input and its maps,
-    four transforms per chunk of rows, and a training step, whose filters
-    Adam has just moved, transforms each bank once, ten in all.
+    Conv1 is a matrix product and makes no transforms.  Each filter bank's
+    operator is built once per parameter state: a forward on unchanged
+    filters transforms only its pooled maps, two transforms per chunk of
+    rows, and a training step, whose filters Adam has just moved, rebuilds
+    both operators and makes six transforms in all.
     """
 
     @pytest.fixture
@@ -471,25 +472,40 @@ class TestTransformCounts:
         return calls
 
     @pytest.fixture
+    def builds(self, monkeypatch):
+        """Each distinct conv1 operator the engine used; held, so no id is reused."""
+        seen = []
+
+        def recorded(net, _real=nn._filter_operators):
+            ops = _real(net)
+            if not any(ops[0] is t for t in seen):
+                seen.append(ops[0])
+            return ops
+        monkeypatch.setattr(nn, "_filter_operators", recorded)
+        return seen
+
+    @pytest.fixture
     def net(self):
         return build_network(HyperParams(), 1024, np.random.default_rng(6))
 
-    def test_forward(self, net, calls, rng):
+    def test_forward(self, net, calls, builds, rng):
         x = rng.standard_normal(1024)
         forward(net, x)
-        assert len(calls) == 6  # cold: both filter banks, then the pass
+        assert len(calls) == 3 and len(builds) == 1  # cold: conv2's filters, then the pass
         calls.clear()
         forward(net, x)
-        assert len(calls) == 4
+        assert len(calls) == 2 and len(builds) == 1
         calls.clear()
         forward(net, rng.standard_normal((420, 1024)))
-        assert len(calls) == 4 * 7  # seven chunks of at most INFER_CHUNK = 64 rows
+        assert len(calls) == 2 * 7  # seven chunks of at most INFER_CHUNK = 64 rows
+        assert len(builds) == 1
 
-    def test_train_step(self, net, calls, rng):
+    def test_train_step(self, net, calls, builds, rng):
         xs = rng.standard_normal((420, 1024))
         nn.train(net, xs, rng.standard_normal(420), replace(net.hp, epochs=1),
                  np.random.default_rng(2))
-        assert len(calls) == 1 + 10 * 7  # the inputs' transform, then seven steps
+        assert len(calls) == 6 * 7  # seven steps
+        assert len(builds) == 7  # one per parameter state
 
 
 def contract_step(net, xs, ys):
@@ -576,21 +592,46 @@ class TestCompositeGradient:
         assert_step_matches(train_step(net, xs, ys), want_pred, want)
 
     def test_step_reads_nothing_left_in_its_buffers(self, rng):
-        # spec holds the conv1 spectra, then the pooling's window copy, then
-        # the conv1 gradient's spectrum; g1 the map, then its gradient.  Rows
-        # past the batch stay unused, as in train's last partial batch.
+        # ``room`` holds the blocks, ``buf`` the conv1 map, then its gradient.
+        # Both are sized for 4 rows and the batch has 3, as in train's last
+        # partial batch, so rows and columns past the batch stay unused.
         net = build_network(replace(HyperParams(), dropout=0.0), 1024,
                             np.random.default_rng(4))
         xs = rng.standard_normal((3, 1024))
         ys = rng.standard_normal(3)
-        fx = np.fft.rfft(xs)
-        steps = [nn._train_step(net, fx, ys, None, np.full((4, 6, 513), fill, complex),
-                                np.full((4, 6, 1024), fill)) for fill in (0.0, np.nan)]
+        steps = []
+        for fill in (0.0, np.nan):
+            room, buf = (np.full_like(a, fill) for a in nn._conv1_room(net, 4))
+            steps.append(nn._train_step(net, nn._gather_blocks(net, xs, room), ys, None, buf))
         (pred, grads), (pred_nan, grads_nan) = steps
         assert np.array_equal(pred_nan, pred)
         for key, g in grads.items():
             assert np.array_equal(grads_nan[key], g), key
         assert_step_matches(steps[0], *contract_step(net, xs, ys))
+
+    # P = lp*pool + k1 - 1 exactly, so the last block ends on the row's last sample
+    @pytest.mark.parametrize("pool", [1, 2, 8, 16])
+    @pytest.mark.parametrize("k1", [1, 5, 40])
+    def test_blocks_never_read_past_a_row(self, pool, k1, rng):
+        lp = 24
+        p = lp * pool + k1 - 1
+        hp = HyperParams(filters1=3, filters2=2, ksize1=k1, ksize2=3, pool=pool,
+                         dropout=0.0, dense_sizes=(6, 4))
+        net = build_network(hp, p, np.random.default_rng(13))
+        assert net.shapes["conv1"] == lp * pool
+        for name, param in net.parameters().items():
+            if name.endswith("biases"):
+                param[...] = 0.1 * rng.standard_normal(param.shape)
+        # each spectrum is a row slice of a wider array whose tail is NaN
+        wide = np.full((3, p + 5), np.nan)
+        wide[:, :p] = rng.standard_normal((3, p))
+        xs, ys = wide[:, :p], rng.standard_normal(3)
+        want_pred, want = contract_step(net, xs, ys)
+        step = train_step(net, xs, ys)
+        assert np.isfinite(step[0]).all()
+        assert all(np.isfinite(g).all() for g in step[1].values())
+        assert_step_matches(step, want_pred, want)
+        np.testing.assert_allclose(forward(net, xs), want_pred, rtol=1e-10, atol=1e-12)
 
     def test_train_mode_dropout_gradient_frozen_mask(self, rng):
         # replay the engine's training step with its own mask frozen, so
