@@ -50,11 +50,11 @@ where k1-wide sliding windows (im2col) would hold k1 = 40.
 The products are batched per spectrum, not one per batch.  One spectrum's
 product, pool*C1 x w x lp = 277k multiply-adds at the default sizes (322k
 at pool 16), stays under 2**19 = 524k, below which OpenBLAS runs a product
-on one thread.  OpenBLAS threads one product per batch, and then results
-depend on the BLAS thread count, because it rounds a tail or a last
-reduction block differently for each split among threads; and ``loocv
---jobs N`` on N cores runs N BLAS threads per worker, which measured three
-times slower per epoch.
+on one thread; 12 filters at the default sizes (555k) exceed it.  OpenBLAS
+threads one product per batch, and then results depend on the BLAS thread
+count, because it rounds a tail or a last reduction block differently for
+each split among threads; and ``loocv --jobs N`` on N cores runs N BLAS
+threads per worker, which measured three times slower per epoch.
 
 Conv2 keeps FFT cross-correlation from ``numpy.fft``, so numpy is the
 package's only runtime dependency.  ``scipy.fft`` runs the same pocketfft

@@ -431,7 +431,7 @@ def _checkpoint_round_trip(net, tmp_path):
 
 
 class TestFilterSpectraMemo:
-    """Forward reuses the filters' transforms only while the filters are unchanged."""
+    """Forward reuses the filter operators only while the filters are unchanged."""
 
     @pytest.mark.parametrize("hp, p", [(HyperParams(), 1024), (TOY_HP, TOY_P)],
                              ids=["default", "toy"])
