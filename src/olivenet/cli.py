@@ -1,12 +1,12 @@
 """Command-line entry points tying the pipeline into reproducible runs.
 
 Subcommands: generate, train, loocv, compare, classify, report.  Every
-output directory receives a manifest recording the command, seed, resolved
-configuration and input fingerprints; ``train`` and ``loocv`` add the target
-parameter and every hyperparameter, which with the seed and the inputs are
-all that decide their outputs.  Rerunning a command with the same
-inputs reproduces the numerical output files byte for byte (the manifest
-itself carries timestamps and is excluded from that guarantee).
+output directory receives a manifest: the parsed command line, each option
+under its argparse ``dest``, and a SHA-256 of every file the outputs depend
+on.  The options and those files are all that decide a command's outputs, so
+rerunning a command with the same inputs reproduces the numerical output
+files byte for byte (the manifest itself carries a timestamp and is excluded
+from that guarantee).
 
 Exit codes: 0 success, 1 internal error, 2 input error, 3 empty result,
 4 training diverged (a non-finite loss, MAE, parameter or prediction; lower
@@ -56,22 +56,15 @@ class EmptyResultError(Exception):
     """Nothing to report; maps to exit code 3."""
 
 
-def write_manifest(out_dir: Path, command: str, seed, config_paths: dict,
-                   hyperparams: dict | None, inputs: dict[str, Path], **extra) -> None:
-    """Write ``manifest.json``; ``extra`` adds top-level keys."""
-    manifest = {
-        **extra,
-        "artifact_version": __version__,
-        "command": command,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "seed": seed,
-        "config_paths": {k: str(v) for k, v in config_paths.items()},
-        "hyperparams": hyperparams,
-        "dataset_fingerprint": {
-            name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for name, p in sorted(inputs.items()) if p.exists()
-        },
-    }
+def write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict[str, Path]) -> None:
+    """Write ``manifest.json``: every parsed option and a hash of each input file."""
+    manifest = {k: v for k, v in vars(args).items() if k != "func"}
+    manifest.update(
+        artifact_version=__version__,
+        created_utc=datetime.now(timezone.utc).isoformat(),
+        dataset_fingerprint={name: hashlib.sha256(p.read_bytes()).hexdigest()
+                             for name, p in inputs.items()},
+    )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -88,13 +81,14 @@ def _out_dir(arg: str) -> Path:
     return p
 
 
-def _load_dataset_dir(dataset_dir: Path) -> dmod.Dataset:
-    labels = dmod.load_labels(_require(dataset_dir / "labels.csv", "labels file"))
-    return dmod.load_spectra(
-        _require(dataset_dir / "spectra.csv", "spectra file"),
-        _require(dataset_dir / "grid.txt", "grid file"),
-        labels,
-    )
+def _load_dataset_dir(args) -> tuple[dmod.ParameterId, dmod.Dataset, dict[str, Path]]:
+    """``--parameter``, the ``--data`` dataset filtered to it, and its three files."""
+    parameter = dmod.ParameterId(args.parameter)
+    files = {name: _require(Path(args.data) / name, what) for name, what in (
+        ("labels.csv", "labels file"), ("spectra.csv", "spectra file"), ("grid.txt", "grid file"))}
+    dataset = dmod.load_spectra(files["spectra.csv"], files["grid.txt"],
+                                dmod.load_labels(files["labels.csv"]))
+    return parameter, dmod.filter_for_parameter(dataset, parameter), files
 
 
 #: Help text of the hyperparameter flags that have one.
@@ -133,7 +127,7 @@ def cmd_generate(args) -> int:
     records = dmod.load_labels(_require(labels_path, "labels file"))
     if args.gen_config:
         config = synth.load_generator_config(_require(Path(args.gen_config), "generator config"),
-                                             seed=args.seed)
+                                             args.seed)
     else:
         config = synth.default_generator_config(seed=args.seed)
     grid = dmod.default_grid(args.pixels, args.grid_start, args.grid_stop)
@@ -144,23 +138,16 @@ def cmd_generate(args) -> int:
     dmod.save_grid(grid, out / "grid.txt")
     dmod.save_labels(records, out / "labels.csv")
     synth.save_generator_config(config, out / "generator.cfg")
-    write_manifest(
-        out, "generate", args.seed,
-        {"labels": labels_path, "gen_config": args.gen_config or "<bundled>"},
-        None,
-        {"spectra.csv": out / "spectra.csv", "grid.txt": out / "grid.txt",
-         "labels.csv": out / "labels.csv"},
-    )
+    write_manifest(out, args, {name: out / name for name in (
+        "spectra.csv", "grid.txt", "labels.csv", "generator.cfg")})
     print(f"generated {dataset.n_spectra} spectra for {dataset.n_oil} oils "
           f"at {args.excitation} nm -> {out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    dataset_dir = _require(Path(args.data), "dataset directory")
-    parameter = dmod.ParameterId(args.parameter)
+    parameter, dataset, files = _load_dataset_dir(args)
     hp = _hp_from_args(args)
-    dataset = dmod.filter_for_parameter(_load_dataset_dir(dataset_dir), parameter)
     x, y, _ = emod.design_matrices(dataset, parameter)
 
     rng = derive_rng(args.seed, "train", parameter.value)
@@ -177,11 +164,7 @@ def cmd_train(args) -> int:
     out = _out_dir(args.out)
     nn.save_network(net, out / "model.ocnn")
     nn.save_trace(trace, out / "trace.csv")
-    write_manifest(out, "train", args.seed, {"data": dataset_dir}, hp.to_dict(),
-                   {"spectra.csv": dataset_dir / "spectra.csv",
-                    "grid.txt": dataset_dir / "grid.txt",
-                    "labels.csv": dataset_dir / "labels.csv"},
-                   parameter=parameter.value)
+    write_manifest(out, args, files)
     final = trace[-1].train_mse if trace else float("nan")
     print(f"trained {parameter.value} model on {dataset.n_spectra} spectra "
           f"({hp.epochs} epochs, final train MSE {final:.6g}) -> {out}")
@@ -189,10 +172,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_loocv(args) -> int:
-    dataset_dir = _require(Path(args.data), "dataset directory")
-    parameter = dmod.ParameterId(args.parameter)
+    parameter, dataset, files = _load_dataset_dir(args)
     hp = _hp_from_args(args)
-    dataset = dmod.filter_for_parameter(_load_dataset_dir(dataset_dir), parameter)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
 
     summary = emod.loocv(dataset, parameter, hp, args.seed, jobs=jobs)
@@ -204,11 +185,7 @@ def cmd_loocv(args) -> int:
                       num_parameters=num_parameters, input_len=input_len)
     emod.save_fold_csv(summary, out / "folds.csv")
     emod.save_scatter_csv([summary], out / "scatter.csv")
-    write_manifest(out, "loocv", args.seed, {"data": dataset_dir}, hp.to_dict(),
-                   {"spectra.csv": dataset_dir / "spectra.csv",
-                    "grid.txt": dataset_dir / "grid.txt",
-                    "labels.csv": dataset_dir / "labels.csv"},
-                   parameter=parameter.value)
+    write_manifest(out, args, files)
     print(f"loocv {parameter.value}: {summary.n_oil} folds, "
           f"checkpoint {summary.checkpoint}, "
           f"<MAE_T>={summary.mean_mae_train:.4g} <MAE_V>={summary.mean_mae_val:.4g} "
@@ -264,9 +241,8 @@ def cmd_compare(args) -> int:
     if args.out:
         out = _out_dir(args.out)
         (out / "ttest.txt").write_text(text, encoding="utf-8")
-        write_manifest(out, "compare", None, {"run1": dir1, "run2": dir2}, None,
-                       {"summary1.json": dir1 / "summary.json",
-                        "summary2.json": dir2 / "summary.json"})
+        write_manifest(out, args, {"summary1.json": dir1 / "summary.json",
+                                   "summary2.json": dir2 / "summary.json"})
     return EXIT_OK
 
 
@@ -316,10 +292,10 @@ def cmd_classify(args) -> int:
     if args.out:
         out = _out_dir(args.out)
         (out / "verdicts.csv").write_text(text, encoding="utf-8")
-        write_manifest(out, "classify", None,
-                       {"input": Path(args.input),
-                        "thresholds": args.thresholds or "<bundled>"},
-                       None, {"input.csv": Path(args.input)})
+        inputs = {"input.csv": Path(args.input)}
+        if args.thresholds:
+            inputs["thresholds.cfg"] = Path(args.thresholds)
+        write_manifest(out, args, inputs)
         print(f"classified {len(out_rows)} oils (chemical parameters only; "
               f"no organoleptic assessment) -> {out}")
     else:
@@ -330,26 +306,25 @@ def cmd_classify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    completed = []
-    for d in args.runs:
-        run = Path(d)
-        if (run / "summary.json").exists():
+    completed = []  # each run directory as given on the command line
+    for run in args.runs:
+        if (Path(run) / "summary.json").exists():
             completed.append(run)
         else:
             print(f"warning: skipping incomplete run dir {run}", file=sys.stderr)
     if not completed:
         raise EmptyResultError("no completed run directories")
 
-    summaries = [_read_run(r)[0] for r in completed]
+    summaries = [_read_run(Path(r))[0] for r in completed]
 
     header = (f"{'parameter':<14}{'<MAE_T>':>10}{'sd(MAE_T)':>11}{'<MAE_V>':>10}"
-              f"{'sd(MAE_V)':>11}{'avg err %':>11}")
+              f"{'sd(MAE_V)':>11}{'avg err %':>11}  run")
     lines = [header, "-" * len(header)]
-    for s in summaries:
+    for run, s in zip(completed, summaries):
         pct = "-" if s.average_error_pct is None else f"{s.average_error_pct:.3g}"
         lines.append(
             f"{s.parameter.value:<14}{s.mean_mae_train:>10.3g}{s.sd_mae_train:>11.3g}"
-            f"{s.mean_mae_val:>10.3g}{s.sd_mae_val:>11.3g}{pct:>11}")
+            f"{s.mean_mae_val:>10.3g}{s.sd_mae_val:>11.3g}{pct:>11}  {run}")
         if s.leakage_ratio() > 3.0:
             lines.append(f"  ^ warning: leakage guard tripped "
                          f"(<MAE_V>/<MAE_T> = {s.leakage_ratio():.2f})")
@@ -360,7 +335,7 @@ def cmd_report(args) -> int:
         # consolidated per-oil predictions (mean across repetitions) per parameter;
         # a later run of the same parameter replaces an earlier one's
         preds: dict[str, dict[str, float]] = {}
-        taken: dict[dmod.ParameterId, Path] = {}
+        taken: dict[dmod.ParameterId, str] = {}
         for run, s in zip(completed, summaries):
             if s.parameter in taken:
                 print(f"warning: {taken[s.parameter]} and {run} both hold "
@@ -381,10 +356,8 @@ def cmd_report(args) -> int:
                     v = preds[oil_id].get(p.value)
                     row.append("-" if v is None else repr(v))
                 fh.write(",".join(row) + "\n")
-        write_manifest(out, "report", None,
-                       {f"run{i}": r for i, r in enumerate(completed)}, None,
-                       {f"summary{i}.json": r / "summary.json"
-                        for i, r in enumerate(completed)})
+        write_manifest(out, args, {f"summary{i}.json": Path(r) / "summary.json"
+                                   for i, r in enumerate(completed)})
     return EXIT_OK
 
 

@@ -62,7 +62,6 @@ class FoldResult:
     mae_train: float
     mae_val: float
     predictions: tuple[float, ...]
-    chosen_checkpoint: str
 
     def __post_init__(self):
         if not (np.isfinite([self.mae_train, self.mae_val]).all()
@@ -72,23 +71,23 @@ class FoldResult:
             raise ValueError(f"fold {self.held_out_oil}: non-finite true value")
         if self.mae_train < 0 or self.mae_val < 0:
             raise ValueError("MAE cannot be negative")
-        if self.chosen_checkpoint not in CHECKPOINT_KINDS:
-            raise ValueError(f"unknown checkpoint kind {self.chosen_checkpoint!r}")
 
 
 @dataclass(frozen=True)
 class CvSummary:
-    """A LOOCV run: every statistic derives from its folds."""
+    """A LOOCV run: the snapshot kind all its folds were scored at, and the
+    folds, from which every statistic derives."""
     parameter: ParameterId
+    checkpoint: str
     per_fold: tuple[FoldResult, ...]
+
+    def __post_init__(self):
+        if self.checkpoint not in CHECKPOINT_KINDS:
+            raise ValueError(f"unknown checkpoint kind {self.checkpoint!r}")
 
     @property
     def n_oil(self) -> int:
         return len(self.per_fold)
-
-    @property
-    def checkpoint(self) -> str:
-        return self.per_fold[0].chosen_checkpoint
 
     @property
     def mean_mae_train(self) -> float:
@@ -202,7 +201,6 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed):
             mae_train=mae(pred_tr, y_tr),
             mae_val=mae(pred_va, y_va),
             predictions=tuple(float(v) for v in pred_va),
-            chosen_checkpoint=kind,
         )
     return hold, out
 
@@ -250,7 +248,7 @@ def loocv_checkpoint_runs(
     else:
         results = dict(_run_fold(hold, *fold_args) for hold in oils)
 
-    return tuple(CvSummary(parameter, tuple(results[hold][kind] for hold in oils))
+    return tuple(CvSummary(parameter, kind, tuple(results[hold][kind] for hold in oils))
                  for kind in CHECKPOINT_KINDS)
 
 
@@ -302,7 +300,6 @@ def summary_to_dict(summary: CvSummary) -> dict:
                 "true_value": f.true_value,
                 "mae_train": f.mae_train,
                 "mae_val": f.mae_val,
-                "chosen_checkpoint": f.chosen_checkpoint,
                 "predictions": list(f.predictions),
             }
             for f in summary.per_fold
@@ -315,15 +312,16 @@ def _fold_from_dict(f: dict) -> FoldResult:
     if not isinstance(oil, str) or not isinstance(preds, list):
         raise TypeError(f"fold {oil!r}: held_out_oil must be a string, predictions a list")
     return FoldResult(oil, float(f["true_value"]), float(f["mae_train"]), float(f["mae_val"]),
-                      tuple(float(v) for v in preds), f["chosen_checkpoint"])
+                      tuple(float(v) for v in preds))
 
 
 def summary_from_dict(d: dict) -> CvSummary:
-    """Inverse of ``summary_to_dict``: the run rebuilt from its folds, each checked
-    by ``FoldResult``, ignoring the stored aggregates.  Bad input: ``ValueError``."""
+    """Inverse of ``summary_to_dict``: the run rebuilt from its checkpoint kind and
+    its folds, each checked by ``FoldResult``; the stored aggregates and any other
+    key are ignored.  Bad input: ``ValueError``."""
     try:
         folds = tuple(_fold_from_dict(f) for f in d["folds"])
-        summary = CvSummary(ParameterId(d["parameter"]), folds)
+        summary = CvSummary(ParameterId(d["parameter"]), d["checkpoint"], folds)
     except (KeyError, TypeError, OverflowError, DivergenceError) as e:
         raise ValueError(f"malformed summary ({type(e).__name__}: {e})") from e
     if len({f.held_out_oil for f in folds}) < max(3, len(folds)):
@@ -347,7 +345,7 @@ def save_fold_csv(summary: CvSummary, path: str | Path) -> None:
         fh.write("parameter,held_out_oil,true_value,mae_train,mae_val,chosen_checkpoint\n")
         for f in summary.per_fold:
             fh.write(f"{summary.parameter.value},{f.held_out_oil},{f.true_value!r},"
-                     f"{f.mae_train!r},{f.mae_val!r},{f.chosen_checkpoint}\n")
+                     f"{f.mae_train!r},{f.mae_val!r},{summary.checkpoint}\n")
 
 
 def save_scatter_csv(summaries: Sequence[CvSummary], path: str | Path) -> None:

@@ -125,7 +125,7 @@ def thresholds_from_entries(entries: dict[str, str]) -> ThresholdSet:
     return ThresholdSet(
         evoo=table("evoo"),
         voo=table("voo"),
-        missing_policy=entries.get("missing_policy", "strict"),
+        missing_policy=entries.get("missing_policy", ThresholdSet.missing_policy),
     )
 
 

@@ -189,9 +189,11 @@ def generate_dataset(
 # config file binding
 # ---------------------------------------------------------------------------
 
-def config_from_entries(entries: dict[str, str], seed: int | None = None) -> GeneratorConfig:
+def config_from_entries(entries: dict[str, str], seed: int) -> GeneratorConfig:
+    """The config ``entries`` describe, with ``seed`` for its noise; a file
+    cannot set the seed, so a ``seed`` key is rejected as unknown."""
     kvconfig.check_keys([k for k in entries if not k.startswith(("peak.", "coupling."))],
-                        optional=("seed", "noise_sigma", "resolution_px"))
+                        optional=("noise_sigma", "resolution_px"))
     peaks = []
     for i, g in enumerate(kvconfig.group_indexed(entries, "peak")):
         kvconfig.check_keys(g, ("center_nm", "width_nm", "base_amplitude", "excitations"),
@@ -209,21 +211,20 @@ def config_from_entries(entries: dict[str, str], seed: int | None = None) -> Gen
         couplings.append(ParameterCoupling(
             parameter=ParameterId(g["parameter"]),
             target=int(g["target"]),
-            amplitude_gain=float(g.get("amplitude_gain", "0")),
-            shift_gain=float(g.get("shift_gain", "0")),
+            amplitude_gain=float(g.get("amplitude_gain", ParameterCoupling.amplitude_gain)),
+            shift_gain=float(g.get("shift_gain", ParameterCoupling.shift_gain)),
         ))
     return GeneratorConfig(
-        seed=int(entries.get("seed", "0")) if seed is None else seed,
+        seed=seed,
         peaks=tuple(peaks),
         couplings=tuple(couplings),
-        noise_sigma=float(entries.get("noise_sigma", "0.01")),
-        resolution_px=int(entries.get("resolution_px", "30")),
+        noise_sigma=float(entries.get("noise_sigma", GeneratorConfig.noise_sigma)),
+        resolution_px=int(entries.get("resolution_px", GeneratorConfig.resolution_px)),
     )
 
 
 def config_to_entries(config: GeneratorConfig) -> dict[str, str]:
     out = {
-        "seed": str(config.seed),
         "noise_sigma": repr(config.noise_sigma),
         "resolution_px": str(config.resolution_px),
     }
@@ -240,8 +241,8 @@ def config_to_entries(config: GeneratorConfig) -> dict[str, str]:
     return out
 
 
-def load_generator_config(path: str | Path, seed: int | None = None) -> GeneratorConfig:
-    return config_from_entries(kvconfig.load_kv(path), seed=seed)
+def load_generator_config(path: str | Path, seed: int) -> GeneratorConfig:
+    return config_from_entries(kvconfig.load_kv(path), seed)
 
 
 def save_generator_config(config: GeneratorConfig, path: str | Path) -> None:
@@ -251,4 +252,4 @@ def save_generator_config(config: GeneratorConfig, path: str | Path) -> None:
 def default_generator_config(seed: int = 0) -> GeneratorConfig:
     """The peak set and couplings shipped with the package."""
     path = Path(resources.files("olivenet") / "_resources" / "generator_default.cfg")
-    return load_generator_config(path, seed=seed)
+    return load_generator_config(path, seed)

@@ -36,6 +36,8 @@ def _set_cell(rows, line, column, value):
 
 
 GEN_SMALL = ["generate", "--pixels", 96, "--repetitions", 2, "--seed", 7]
+BUNDLED_GEN_CONFIG = dmod.bundled_labels_path().with_name("generator_default.cfg")
+BUNDLED_THRESHOLDS = dmod.bundled_labels_path().with_name("thresholds_default.cfg")
 LOOCV_QUICK = ["--epochs", 4, "--ksize1", 9, "--ksize2", 3, "--pool", 4,
                "--filters1", 2, "--filters2", 2, "--dense1", 6, "--dense2", 3,
                "--dropout", "0.0", "--jobs", 1]
@@ -92,18 +94,32 @@ class TestGenerate:
         assert "nope.csv" in capsys.readouterr().err
 
     def test_generator_config_missing_key_exit_2(self, tmp_path, capsys):
-        bundled = dmod.bundled_labels_path().with_name("generator_default.cfg").read_text()
         cfg = tmp_path / "gen.cfg"
-        cfg.write_text(bundled.replace("peak.0.width_nm = 12.0\n", ""))
+        cfg.write_text(BUNDLED_GEN_CONFIG.read_text().replace("peak.0.width_nm = 12.0\n", ""))
         assert run(["generate", "--gen-config", cfg, "--pixels", 64,
                     "--out", tmp_path / "x"]) == 2
         assert "error: missing config keys ['peak.0.width_nm']" in capsys.readouterr().err
+
+    def test_generator_config_seed_key_exit_2(self, tmp_path, capsys):
+        # --seed is the one seed: a config file that sets another is rejected
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(BUNDLED_GEN_CONFIG.read_text() + "seed = 5\n")
+        assert run(["generate", "--gen-config", cfg, "--pixels", 64,
+                    "--out", tmp_path / "x"]) == 2
+        assert "error: unknown config keys ['seed']" in capsys.readouterr().err
+
+    def test_written_generator_config_holds_no_seed(self, dataset_dir, tmp_path):
+        cfg = dataset_dir / "generator.cfg"
+        assert not [l for l in cfg.read_text().splitlines() if l.startswith("seed")]
+        again = tmp_path / "again"
+        assert run(GEN_SMALL + ["--gen-config", cfg, "--out", again]) == 0
+        assert sha(again / "spectra.csv") == sha(dataset_dir / "spectra.csv")
 
     def test_manifest_fields(self, dataset_dir):
         meta = json.loads((dataset_dir / "manifest.json").read_text())
         assert meta["command"] == "generate"
         assert meta["seed"] == 7
-        assert "spectra.csv" in meta["dataset_fingerprint"]
+        assert meta["dataset_fingerprint"]["generator.cfg"] == sha(dataset_dir / "generator.cfg")
 
 
 class TestTrain:
@@ -248,9 +264,9 @@ class TestCompare:
         for name, mean, n_params in (("good", 0.10, 1071), ("poor", 0.30, 839)):
             runs[name] = tmp_path / name
             runs[name].mkdir()
-            folds = tuple(emod.FoldResult(f"oil{i:02d}", 1.0, mean, mean + d, (1.0,),
-                                          "best_val_loss") for i, d in enumerate(spread))
-            emod.save_summary(emod.CvSummary(dmod.ParameterId.ACIDITY, folds),
+            folds = tuple(emod.FoldResult(f"oil{i:02d}", 1.0, mean, mean + d, (1.0,))
+                          for i, d in enumerate(spread))
+            emod.save_summary(emod.CvSummary(dmod.ParameterId.ACIDITY, "best_val_loss", folds),
                               runs[name] / "summary.json", num_parameters=n_params)
 
         chosen, texts = [], []
@@ -311,9 +327,8 @@ class TestClassify:
 
     def test_misspelt_threshold_key_exit_2(self, tmp_path, capsys):
         # read as written, the file would drop the EVOO acidity limit
-        bundled = dmod.bundled_labels_path().with_name("thresholds_default.cfg").read_text()
         cfg = tmp_path / "thresholds.cfg"
-        cfg.write_text(bundled.replace("evoo.acidity", "evoo.acidty"))
+        cfg.write_text(BUNDLED_THRESHOLDS.read_text().replace("evoo.acidity", "evoo.acidty"))
         assert run(["classify", "--input", dmod.bundled_labels_path(),
                     "--thresholds", cfg]) == 2
         assert "error: unknown config keys ['evoo.acidty']" in capsys.readouterr().err
@@ -333,6 +348,20 @@ class TestClassify:
         text = (out / "verdicts.csv").read_text()
         assert text.startswith("oil_id,grade,")
         assert len(text.splitlines()) == 1 + 22
+
+    def test_fingerprint_follows_thresholds_content(self, tmp_path):
+        cfg = tmp_path / "thresholds.cfg"
+        bundled = BUNDLED_THRESHOLDS.read_text()
+        fingerprints = []
+        for text in (bundled, bundled.replace("evoo.acidity = 0.8", "evoo.acidity = 0.7")):
+            cfg.write_text(text)
+            out = tmp_path / f"v{len(fingerprints)}"
+            assert run(["classify", "--input", dmod.bundled_labels_path(),
+                        "--thresholds", cfg, "--out", out]) == 0
+            fingerprints.append(json.loads((out / "manifest.json").read_text())
+                                ["dataset_fingerprint"])
+        assert fingerprints[0]["input.csv"] == fingerprints[1]["input.csv"]
+        assert fingerprints[0]["thresholds.cfg"] != fingerprints[1]["thresholds.cfg"]
 
 
 class TestReport:
@@ -385,11 +414,23 @@ class TestReport:
         assert run(["report", loocv_dir]) == 0
         expected = capsys.readouterr().out
         assert run(["report", old]) == 0
-        assert capsys.readouterr().out == expected
+        assert capsys.readouterr().out == expected.replace(f"  {loocv_dir}\n", f"  {old}\n")
         summary = json.loads((loocv_dir / "summary.json").read_text())
         cells = expected.splitlines()[2].split()
         assert cells[1] == f"{summary['mean_mae_train']:.3g}"
         assert cells[3] == f"{summary['mean_mae_val']:.3g}"
+
+    def test_table_rows_name_their_run(self, loocv_dir, tmp_path, monkeypatch):
+        # two runs of one parameter with equal statistics: only the run column tells them apart
+        monkeypatch.chdir(tmp_path)
+        shutil.copytree(loocv_dir, "ra")
+        shutil.copytree(loocv_dir, "rb")
+        assert run(["report", "ra", "./rb", "--out", "rep"]) == 0
+        lines = (tmp_path / "rep" / "table.txt").read_text().splitlines()
+        assert lines[0].endswith("  run")
+        assert [l.split()[0] for l in lines[2:]] == ["acidity", "acidity"]
+        assert lines[2].endswith("  ra") and lines[3].endswith("  ./rb")
+        assert lines[2][:-len("ra")] == lines[3][:-len("./rb")]
 
     def test_two_runs_of_one_parameter_warn(self, loocv_dir, tmp_path, capsys):
         other = shutil.copytree(loocv_dir, tmp_path / "other")
@@ -472,33 +513,42 @@ class TestHyperparameterFlags:
         assert cli._hp_from_args(args) == nn.HyperParams()
 
 
+#: Per subcommand, the argv before ``--out`` (from the dataset and a loocv run)
+#: and the names of the files its manifest hashes.
+MANIFEST_CASES = {
+    "generate": (lambda data, runs: GEN_SMALL[:-2] + ["--excitation", 365, "--seed", 5],
+                 ["generator.cfg", "grid.txt", "labels.csv", "spectra.csv"]),
+    "train": (lambda data, runs: ["train", "--data", data, "--parameter", "acidity",
+                                  "--seed", 3] + LOOCV_QUICK[:-2],
+              ["grid.txt", "labels.csv", "spectra.csv"]),
+    "loocv": (lambda data, runs: ["loocv", "--data", data, "--parameter", "acidity",
+                                  "--seed", 3] + LOOCV_QUICK,
+              ["grid.txt", "labels.csv", "spectra.csv"]),
+    "compare": (lambda data, runs: ["compare", "--run1", runs[0], "--run2", runs[1],
+                                    "--alpha", 0.2, "--two-sided"],
+                ["summary1.json", "summary2.json"]),
+    "classify": (lambda data, runs: ["classify", "--input", dmod.bundled_labels_path(),
+                                     "--thresholds", BUNDLED_THRESHOLDS],
+                 ["input.csv", "thresholds.cfg"]),
+    "report": (lambda data, runs: ["report", *runs], ["summary0.json", "summary1.json"]),
+}
+
+
 class TestManifest:
-    @pytest.mark.parametrize("command", ["train", "loocv"])
-    def test_records_every_option_that_shapes_the_outputs(self, dataset_dir, tmp_path,
-                                                          command):
-        out = tmp_path / "run"
-        argv = [command, "--data", dataset_dir, "--parameter", "acidity", "--seed", 3,
-                "--out", out] + (LOOCV_QUICK if command == "loocv" else LOOCV_QUICK[:-2])
+    @pytest.mark.parametrize("command", list(MANIFEST_CASES))
+    def test_records_every_option_that_shapes_the_outputs(self, dataset_dir, loocv_dir,
+                                                          tmp_path, command):
+        make_argv, hashed = MANIFEST_CASES[command]
+        runs = [loocv_dir, shutil.copytree(loocv_dir, tmp_path / "other")]
+        argv = [str(a) for a in make_argv(dataset_dir, runs) + ["--out", tmp_path / "out"]]
         assert run(argv) == 0
-        meta = json.loads((out / "manifest.json").read_text())
-        parser = cli.build_parser()
-        args = parser.parse_args([str(a) for a in argv])
-        subparser = parser._subparsers._group_actions[0].choices[command]
-        dense = {"dense1": 0, "dense2": 1}
-        unrecorded = []
-        for action in subparser._actions:
-            name = action.dest
-            if not action.option_strings or name in ("help", "data", "out", "jobs"):
-                continue
-            if name in ("seed", "parameter"):
-                recorded = meta.get(name)
-            elif name in dense:
-                recorded = meta["hyperparams"]["dense_sizes"][dense[name]]
-            else:
-                recorded = meta["hyperparams"].get(name)
-            if recorded != getattr(args, name):
-                unrecorded.append(name)
-        assert unrecorded == []
+        meta = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert meta.pop("artifact_version") == cli.__version__
+        assert meta.pop("created_utc")
+        assert sorted(meta.pop("dataset_fingerprint")) == hashed
+        options = vars(cli.build_parser().parse_args(argv))
+        del options["func"]
+        assert meta == options
 
     def test_validation_cadence_is_not_an_option(self, tmp_path):
         with pytest.raises(SystemExit) as e:

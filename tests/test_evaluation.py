@@ -249,13 +249,13 @@ class TestFoldResult:
     ])
     def test_non_finite_values_rejected(self, mae_train, mae_val, preds):
         with pytest.raises(DivergenceError, match="^fold O01: non-finite MAE or predictions$"):
-            FoldResult("O01", 1.0, mae_train, mae_val, preds, "best_val_loss")
+            FoldResult("O01", 1.0, mae_train, mae_val, preds)
 
 
 def _summary(parameter, maes_train, maes_val, kind="best_val_loss", labels=None):
     labels = labels or [1.0] * len(maes_val)
-    return CvSummary(parameter, tuple(
-        FoldResult(f"O{i:02d}", label, t, v, (1.0, 1.0), kind)
+    return CvSummary(parameter, kind, tuple(
+        FoldResult(f"O{i:02d}", label, t, v, (1.0, 1.0))
         for i, (label, t, v) in enumerate(zip(labels, maes_train, maes_val))))
 
 
@@ -345,6 +345,14 @@ class TestSerialization:
         assert len(d["folds"]) == 4
         assert summary_from_dict(d) == s  # the inverse, aggregates recomputed
 
+    def test_summary_with_per_fold_checkpoints_loads(self):
+        # summaries written before the kind became the run's also hold it on each fold
+        s = _summary(ParameterId.ACIDITY, [0.1] * 3, [0.2] * 3, kind="best_train_loss")
+        d = json.loads(summary_to_json(s))
+        for f in d["folds"]:
+            f["chosen_checkpoint"] = "best_train_loss"
+        assert summary_from_dict(d) == s
+
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("parameter"),
         lambda d: d["folds"][0].pop("mae_val"),
@@ -359,13 +367,13 @@ class TestSerialization:
         lambda d: d["folds"][0].update(mae_val=float("nan")),
         lambda d: d["folds"][0].update(mae_val=10 ** 400),
         lambda d: d["folds"][0].update(mae_train=-0.1),
-        lambda d: d["folds"][0].update(chosen_checkpoint="last"),
+        lambda d: d.update(checkpoint="last"),
+        lambda d: d.pop("checkpoint"),
     ])
     def test_summary_from_dict_rejects_malformed_input(self, edit):
         folds = [{"held_out_oil": f"O{i}", "true_value": 1.0, "mae_train": 0.1,
-                  "mae_val": 0.2, "chosen_checkpoint": "best_val_loss",
-                  "predictions": [1.1, 0.9]} for i in range(3)]
-        d = {"parameter": "acidity", "folds": folds}
+                  "mae_val": 0.2, "predictions": [1.1, 0.9]} for i in range(3)]
+        d = {"parameter": "acidity", "checkpoint": "best_val_loss", "folds": folds}
         assert summary_from_dict(d).mean_mae_val == pytest.approx(0.2)
         edit(d)
         with pytest.raises(ValueError):

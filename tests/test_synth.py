@@ -43,7 +43,7 @@ class TestGeneratorConfig:
     def test_file_roundtrip(self, tmp_path):
         cfg = synth.default_generator_config(seed=42)
         synth.save_generator_config(cfg, tmp_path / "g.cfg")
-        back = synth.load_generator_config(tmp_path / "g.cfg")
+        back = synth.load_generator_config(tmp_path / "g.cfg", seed=42)
         assert back == cfg
 
     def test_default_config_has_all_five_couplings(self):
