@@ -27,69 +27,91 @@ Convolutions are valid (no padding), stride 1.  Two implementations coexist:
   and the input channel outer) so a brute-force loop reproduces it bit for
   bit;
 * the batched engine evaluates the same maps through matrix products and,
-  for conv2, FFT cross-correlation.  It is free to reassociate
-  floating-point sums, so it matches the contract ops to ~1e-13 relative
-  rather than bitwise; the tests pin both paths together.
+  for conv2 in the training step, FFT cross-correlation.  It is free to
+  reassociate floating-point sums, so it matches the contract ops to
+  ~1e-13 relative rather than bitwise; the tests pin both paths together.
 
 Conv1 is a block-Toeplitz matrix product (Chellapilla, Puri & Simard
 2006).  Each spectrum is cut into one block of w = pool + k1 - 1 samples
-per pooling window, and ``_gather_blocks`` copies a batch's blocks through
-a zero-copy strided view into one (B, lp, w) array.  A fixed (pool*C1, w)
-operator, whose row r*C1 + c holds filter c shifted right by r, turns them
-into the conv1 map in one batched ``np.matmul``, offset-major:
-(pool, C1, B, lp).  The window max and its first maximum are then
-reductions over the leading axis, which numpy runs elementwise across
-whole rows (``_pool_argmax``).  The biases enter after the max, which is
-exact because rounding is monotone.  The backward pass overwrites the map
-with its gradient, a one-hot mask of each window's first maximum times the
+per pooling window.  The blocks are a zero-copy strided view of the
+spectra, (B, lp, w), built by ``_blocks`` on a C-contiguous copy of the
+input, which is the input itself when it is C-contiguous already.  A fixed
+operator whose column r*C1 + c holds filter c shifted down by r turns them
+into the conv1 map in one batched ``np.matmul``, written straight into the
+offset-major layout (pool, C1, B, lp).  The operator is stored transposed,
+(w, pool*C1), and C-contiguous, the orientation in which numpy hands
+OpenBLAS its fastest product: at B=64 it took 852 us, against 1216 us for
+the (pool*C1, w) operator times the transposed blocks and 1303 us for a
+transposed view of that operator (best of 150, one thread of a shared
+2-core VM), all with the same bits.  The window max and its first maximum
+are then reductions over the leading axis, which numpy runs elementwise
+across whole rows (``_pool_argmax``).  The biases enter after the max, which is exact
+because rounding is monotone.  The backward pass overwrites the map with
+its gradient, a one-hot mask of each window's first maximum times the
 pooled gradient, and one more batched product with the same blocks gives
 the operator's gradient; the filter gradient sums its shifted diagonals.
 The blocks hold w/pool = 5.9 copies of each sample at the default sizes,
 where k1-wide sliding windows (im2col) would hold k1 = 40.
 
-The products are batched per spectrum, not one per batch.  One spectrum's
-product, pool*C1 x w x lp = 277k multiply-adds at the default sizes (322k
-at pool 16), stays under 2**19 = 524k, below which OpenBLAS runs a product
-on one thread; 12 filters at the default sizes (555k) exceed it.  OpenBLAS
-threads one product per batch, and then results depend on the BLAS thread
-count, because it rounds a tail or a last reduction block differently for
-each split among threads; and ``loocv --jobs N`` on N cores runs N BLAS
-threads per worker, which measured three times slower per epoch.
+The products are batched per spectrum, not one per batch, and each
+spectrum's product is split to stay under ``BLAS_MADDS`` = 2**19
+multiply-adds, below which OpenBLAS 0.3.31 runs a product on one thread.
+Above it, results depend on the BLAS thread count, because OpenBLAS rounds
+a tail or a last reduction block differently for each split among
+threads; and ``loocv --jobs N`` on N cores would run N BLAS threads per
+worker, which measured three times slower per epoch.  Conv1's product and
+the operator gradient's split along the pooled positions, conv2's
+inference product along its blocks.  At the default sizes one spectrum's
+conv1 product is pool*C1 x w x lp = 277k multiply-adds and nothing splits;
+on a 2048-pixel grid it would be 566k.
 
-Conv2 keeps FFT cross-correlation from ``numpy.fft``, so numpy is the
-package's only runtime dependency.  ``scipy.fft`` runs the same pocketfft
-code and gives the same bits, but importing it more than doubles the
-start-up of every ``olivenet`` command.  Conv2 pads its transforms to the
-next power of two at or above the pooled length (128 for 123 positions),
-which measured faster than the nearest 11-smooth length at both pool sizes
-of the tuning grid.  Its channel sums, forward and backward, are batched
-``np.matmul`` products with the frequency axis leading, which beat
-``einsum``'s complex loops at these sizes.
+Conv2 has two implementations, one per path below:
+
+* the training step keeps FFT cross-correlation from ``numpy.fft``: its
+  backward pass reuses the forward's spectrum of the pooled maps, for the
+  filter gradient.  A block-Toeplitz conv2 in the step, forward and
+  backward, measured slower in a prototype: 44.5 -> 53.9 ms per epoch.
+  Transforms are padded to the next power of two at or above the pooled
+  length (128 for 123 positions), which measured faster than the nearest
+  11-smooth length at both pool sizes of the tuning grid.  The channel
+  sums, forward and backward, are batched ``np.matmul`` products with the
+  frequency axis leading, which beat ``einsum``'s complex loops at these
+  sizes.  ``scipy.fft`` runs the same pocketfft code and gives the same
+  bits, but importing it more than doubles the start-up of every
+  ``olivenet`` command, so numpy stays the only runtime dependency;
+* the inference pass computes conv2 as a block-Toeplitz product like
+  conv1's, over blocks of ``CONV2_BLOCK`` = 13 outputs.  The pooled maps
+  go into a zero-padded, position-major buffer (B, nb*13 + k2 - 1, C1), so
+  its blocks of 13 + k2 - 1 positions are a view too, and the outputs past
+  l2 are dropped.  A forward then calls no transform, whose numpy
+  wrappers cost more than conv2's arithmetic at B=1.  With blocks of 8 or
+  13 outputs a forward timed within 3 % either way; with 26, 52 and 104
+  it was 3 %, 19 % and 2.7x slower at B=1, and 6 %, 34 % and 3.5x at B=64.
 
 The batched engine has two paths:
 
 * the training step (``_train_step``) runs one mini-batch: the forward
   pass, the MSE gradient and the backward pass in one scope, so what the
   backward pass needs, such as the first-occurrence offset of every pool
-  window, stays in plain locals.  ``train`` reuses two 3 MB buffers
-  across batches, so a batch allocates no conv1-sized array: ``room``
-  for the batch's blocks and ``buf`` for the conv1 map, which the map's
-  gradient overwrites;
+  window, stays in plain locals.  ``train`` reuses two buffers across
+  batches, so a batch allocates no conv1-sized array: ``buf`` (3 MB at
+  the defaults) for the conv1 map, which the map's gradient overwrites,
+  and ``room`` (1.2 MB) for the operator gradient's per-spectrum terms;
 * the inference pass (``_infer``), behind ``forward`` and the validation
   loss in ``train``, keeps no cache.  It takes the window max only, with no
-  argmax, and walks its input ``INFER_CHUNK`` rows at a time, so its
-  working set does not grow with the batch: scoring 420 spectra needs no
-  more memory than scoring 64.
+  argmax, runs the dense head in place, and walks its input
+  ``INFER_CHUNK`` rows at a time, so its working set does not grow with
+  the batch: scoring 420 spectra needs no more memory than scoring 64.
 
 Both paths take the filter operators from ``_filter_operators``, which
-memoizes conv1's block-Toeplitz operator and conv2's filter spectrum on the
-``Network``, keyed on the two filter arrays' shapes and bytes.  The key is
-their content, not a version counter, because parameters change in place
-by routes no counter sees: Adam, ``set_parameters``, a plain element
+memoizes conv1's operator, conv2's filter spectrum and conv2's operator on
+the ``Network``, keyed on the two filter arrays' shapes and bytes.  The key
+is their content, not a version counter, because parameters change in
+place by routes no counter sees: Adam, ``set_parameters``, a plain element
 write, a replaced layer.  Checking the key copies and compares under 6 kB
 of filters at the default sizes, far cheaper than the operators it saves
-rebuilding.  A forward on unchanged weights makes 2 transforms per chunk
-of rows, and a training step builds each operator once.
+rebuilding.  A forward on unchanged weights makes no transform, and a
+training step builds each operator once.
 
 Training is mini-batch gradient descent with Adam-style adaptive moments;
 validation runs every ``VAL_EVERY`` epochs, a fixed part of the protocol.
@@ -97,6 +119,7 @@ validation runs every ``VAL_EVERY`` epochs, a fixed part of the protocol.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import struct
@@ -131,6 +154,14 @@ VAL_EVERY = 10
 #: Rows per block of the inference pass.  It bounds the pass's working set
 #: (about 10 MB at P=1024 with 6 conv1 filters) whatever the batch size.
 INFER_CHUNK = 64
+
+#: Outputs per block of conv2's block-Toeplitz product in the inference pass.
+CONV2_BLOCK = 13
+
+#: OpenBLAS 0.3.31 runs a matrix product of fewer multiply-adds than this on
+#: one thread.  The engine splits every per-spectrum product below it, so no
+#: result depends on the BLAS thread count.
+BLAS_MADDS = 2**19
 
 
 # ---------------------------------------------------------------------------
@@ -460,89 +491,101 @@ def _fft_len(net: Network) -> int:
     return 1 << (net.shapes["pool"] - 1).bit_length()
 
 
+def _rows_per_product(madds_per_row: int) -> int:
+    """Rows of a product that keep it under ``BLAS_MADDS`` multiply-adds; at least one.
+
+    One block times an operator costs ``op.size`` multiply-adds, and so does one
+    block's term of the operator's gradient.
+    """
+    return max(1, (BLAS_MADDS - 1) // madds_per_row)
+
+
 def _shifted(a: np.ndarray, k: int) -> np.ndarray:
     """The view [r, c, i] -> a[r, c, r + i] of a (pool, C, w) array, i < k."""
     s0, s1, s2 = a.strides
     return np.lib.stride_tricks.as_strided(a, (a.shape[0], a.shape[1], k), (s0 + s2, s1, s2))
 
 
-def _filter_operators(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """conv1's block-Toeplitz operator (pool*C1, w) and conv2's filter spectrum (C2, C1, F).
+def _toeplitz(f: np.ndarray, s: int) -> np.ndarray:
+    """Block-Toeplitz operator ((s+k-1)*C_in, s*C_out) of a filter bank f (C_out, C_in, k).
 
-    Row r*C1 + c of the operator holds filter c shifted right by r, so its
-    product with a block of w = pool + k1 - 1 samples gives conv1 at offset
-    r of that block's pooling window.  Memoized on ``net`` under the
-    filters' bytes and shapes, so a forward pass on unchanged weights builds
-    neither.  The arrays are shared by every later call, hence read-only.
+    Row t*C_in + j, column o*C_out + c holds f[c, j, t - o] where 0 <= t - o
+    < k, zero elsewhere: a block of s + k - 1 input positions, position-major
+    with the channel innermost, times the operator gives the block's s valid
+    outputs, offset-major with the channel innermost.
+    """
+    c_out, c_in, k = f.shape
+    op = np.zeros((s + k - 1, c_in, s, c_out))
+    s0, s1, s2, s3 = op.strides
+    np.lib.stride_tricks.as_strided(
+        op, (s, k, c_in, c_out), (s0 + s2, s0, s1, s3))[...] = f.transpose(2, 1, 0)
+    return op.reshape((s + k - 1) * c_in, s * c_out)
+
+
+def _filter_operators(net: Network) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """conv1's operator (w, pool*C1), conv2's filter spectrum (C2, C1, F) and conv2's operator.
+
+    Both operators come from ``_toeplitz``: conv1's over blocks of w = pool
+    + k1 - 1 samples, one block per pooling window, and conv2's, for the
+    inference pass, over blocks of ``CONV2_BLOCK`` + k2 - 1 pooled
+    positions.  The training step takes conv2's spectrum instead.
+    Memoized on ``net`` under the filters' bytes and shapes, so a forward
+    pass on unchanged weights builds none of them.  The arrays are shared
+    by every later call, hence read-only.
     """
     f1, f2 = net.conv1.filters, net.conv2.filters
     key = (f1.shape, f2.shape, f1.tobytes(), f2.tobytes())
     if net._operators is None or net._operators[0] != key:
-        c1, _, k1 = f1.shape
-        pool = net.hp.pool
-        toeplitz = np.zeros((pool, c1, pool + k1 - 1))
-        _shifted(toeplitz, k1)[...] = f1[:, 0, :]
-        ops = toeplitz.reshape(pool * c1, -1), np.fft.rfft(f2, n=_fft_len(net))
+        ops = (_toeplitz(f1, net.hp.pool), np.fft.rfft(f2, n=_fft_len(net)),
+               _toeplitz(f2, CONV2_BLOCK))
         for op in ops:
             op.flags.writeable = False
         net._operators = key, ops
     return net._operators[1]
 
 
-def _conv1_room(net: Network, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Room for the blocks (b, lp, w) and the conv1 map (pool*C1, b*lp) of up to ``b`` spectra."""
-    lp = net.shapes["pool"]
-    return (np.empty((b, lp, net.hp.pool + net.hp.ksize1 - 1)),
-            np.empty((net.hp.pool * net.hp.filters1, b * lp)))
+def _blocks(x: np.ndarray, n: int, step: int, width: int) -> np.ndarray:
+    """The zero-copy view [b, j, i] -> x[b, j*step + i] of the rows of x (B, L): (B, n, width).
 
-
-def _gather_blocks(net: Network, x: np.ndarray, room: np.ndarray) -> np.ndarray:
-    """The pool-strided blocks (B, lp, w) of the spectra ``x`` (B, P), copied into ``room``.
-
-    Block (b, j) is x[b, j*pool : j*pool + w], read through a zero-copy
-    strided view of ``x``; the last block ends at lp*pool + k1 - 1 <= P,
-    inside the row.  Returns room[:B].
+    x is made C-contiguous first, a copy only when it is not.  The caller
+    keeps (n - 1)*step + width <= L, so no block reads past its row.
     """
-    b, lp, pool = x.shape[0], net.shapes["pool"], net.hp.pool
-    s0, s1 = x.strides
-    xb = room[:b]
-    np.copyto(xb, np.lib.stride_tricks.as_strided(
-        x, xb.shape, (s0, pool * s1, s1), writeable=False))
-    return xb
+    x = np.ascontiguousarray(x)
+    return np.ndarray((x.shape[0], n, width), x.dtype, x, 0,
+                      (x.strides[0], step * x.itemsize, x.itemsize))
 
 
-def _conv1_map(net: Network, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _conv1_blocks(net: Network, x: np.ndarray) -> np.ndarray:
+    """The pool-strided blocks (B, lp, w) of the spectra x (B, P), a view.
+
+    Block (b, j) is x[b, j*pool : j*pool + w]; the last one ends at
+    lp*pool + k1 - 1 <= P, inside the row.
+    """
+    pool = net.hp.pool
+    return _blocks(x, net.shapes["pool"], pool, pool + net.hp.ksize1 - 1)
+
+
+def _step_buffers(net: Network, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Room for the conv1 map (pool*C1, b*lp) and the operator-gradient product (b, pool*C1, w)."""
+    rows, w = net.hp.pool * net.hp.filters1, net.hp.pool + net.hp.ksize1 - 1
+    return np.empty((rows, b * net.shapes["pool"])), np.empty((b, rows, w))
+
+
+def _conv1_map(net: Network, op: np.ndarray, xb: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Conv1 without biases of the spectra whose blocks are ``xb`` (B, lp, w).
 
-    Returns the map offset-major, (pool, C1, B, lp), a view of the first
-    B*lp columns of ``out`` (pool*C1, >= B*lp).
+    ``op`` is conv1's operator.  Returns the map offset-major, (pool, C1, B,
+    lp), a view of the first B*lp columns of ``out`` (pool*C1, >= B*lp).
+    Each spectrum's product runs in runs of pooled positions short enough
+    to stay under ``BLAS_MADDS``.
     """
     b, lp, _ = xb.shape
     v = out[:, :b * lp].reshape(-1, b, lp)
-    np.matmul(_filter_operators(net)[0], xb.transpose(0, 2, 1), out=v.transpose(1, 0, 2))
+    vt = v.transpose(1, 2, 0)
+    step = _rows_per_product(op.size)
+    for lo in range(0, lp, step):
+        np.matmul(xb[:, lo:lo + step], op, out=vt[:, lo:lo + step])
     return v.reshape(net.hp.pool, net.hp.filters1, b, lp)
-
-
-def _conv2(net: Network, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """conv2 over the pooled maps (C1, B, lp); returns (rfft of x2, pre-activation map).
-
-    The rfft comes back frequency-leading, (F, B, C1), the layout of the
-    batched matmuls that contract conv2's channels here and in the step.
-    """
-    n2 = _fft_len(net)
-    fx2 = np.fft.rfft(x2, n=n2).transpose(2, 1, 0)
-    spec2 = fx2 @ np.conj(_filter_operators(net)[1]).transpose(2, 1, 0)
-    spec2[0] += n2 * net.conv2.biases
-    return fx2, np.fft.irfft(spec2.transpose(1, 2, 0), n=n2)[:, :, :net.shapes["conv2"]]
-
-
-def _dense_head(net: Network, flat: np.ndarray):
-    """The three dense layers; returns (pred, z1, a1, z2, a2)."""
-    z1 = flat @ net.dense1.weights.T + net.dense1.biases
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ net.dense2.weights.T + net.dense2.biases
-    a2 = np.maximum(z2, 0.0)
-    return (a2 @ net.output.weights.T + net.output.biases)[:, 0], z1, a1, z2, a2
 
 
 def _check_batch(net: Network, x: np.ndarray) -> None:
@@ -551,19 +594,45 @@ def _check_batch(net: Network, x: np.ndarray) -> None:
 
 
 def _infer(net: Network, x: np.ndarray) -> np.ndarray:
-    """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time."""
+    """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time.
+
+    Conv2 is a block-Toeplitz product here: the pooled maps go into a
+    zero-padded, position-major buffer (B, nb*s + k2 - 1, C1) whose blocks
+    of s + k2 - 1 positions are a view, s = ``CONV2_BLOCK`` and nb*s >= l2.
+    The outputs past l2 are dropped.
+    """
     _check_batch(net, x)
+    pool, c1, c2, k2 = net.hp.pool, net.hp.filters1, net.hp.filters2, net.hp.ksize2
+    lp, l2, s = net.shapes["pool"], net.shapes["conv2"], CONV2_BLOCK
+    nb = -(-l2 // s)
+    op1, _, op2 = _filter_operators(net)
     bias = net.conv1.biases[:, None, None]
-    room, buf = _conv1_room(net, min(x.shape[0], INFER_CHUNK))
+    rows = min(x.shape[0], INFER_CHUNK)
+    buf = np.empty((pool * c1, rows * lp))
+    padded = np.zeros((rows, nb * s + k2 - 1, c1))
+    y2 = np.empty((rows, nb, s * c2))
+    step = _rows_per_product(op2.size)
     pred = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], INFER_CHUNK):
-        rows = x[lo:lo + INFER_CHUNK]
-        top = _conv1_map(net, _gather_blocks(net, rows, room), buf).max(axis=0)
+        chunk = x[lo:lo + INFER_CHUNK]
+        b = chunk.shape[0]
+        top = _conv1_map(net, op1, _conv1_blocks(net, chunk), buf).max(axis=0)
         # the bias enters after the max, exactly: rounding is monotone
         x2 = np.maximum(np.add(top, bias, out=top), 0.0, out=top)
-        _, y2 = _conv2(net, x2)
-        flat = np.maximum(y2, 0.0).reshape(len(rows), -1)
-        pred[lo:lo + INFER_CHUNK] = _dense_head(net, flat)[0]
+        # a max or a ufunc writing across the channel stride of the padded
+        # buffer measured 4x slower at B=64 than this copy of its result
+        padded[:b, :lp] = x2.transpose(1, 2, 0)
+        xb2 = _blocks(padded[:b].reshape(b, -1), nb, s * c1, op2.shape[0])
+        for j in range(0, nb, step):
+            np.matmul(xb2[:, j:j + step], op2, out=y2[:b, j:j + step])
+        z2 = y2[:b].reshape(b, nb * s, c2)
+        z2 += net.conv2.biases
+        h = np.maximum(z2[:, :l2].transpose(0, 2, 1), 0.0, order="C").reshape(b, -1)
+        for layer in (net.dense1, net.dense2):
+            h = h @ layer.weights.T
+            h += layer.biases
+            np.maximum(h, 0.0, out=h)
+        pred[lo:lo + b] = h @ net.output.weights[0] + net.output.biases[0]
     return pred
 
 
@@ -585,30 +654,42 @@ def _pool_argmax(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _train_step(net: Network, xb: np.ndarray, y: np.ndarray,
-                rng: Optional[np.random.Generator], buf: np.ndarray):
+                rng: Optional[np.random.Generator], buf: np.ndarray, room: np.ndarray):
     """One mini-batch step; returns (pred, grads), grads keyed like net.parameters().
 
-    ``xb`` is the batch's blocks (B, lp, w), as ``_gather_blocks`` cuts
+    ``xb`` is the batch's blocks (B, lp, w), as ``_conv1_blocks`` cuts
     them, and ``y`` its targets; the loss is their MSE.  ``rng`` draws the
     dropout mask, the step's only draw, and may be None when dropout is off.
-    ``buf`` (pool*C1, >= B*lp) is room the step overwrites: it holds the
-    conv1 map, then the conv1 map's gradient.
+    ``buf`` (pool*C1, >= B*lp) and ``room`` (>= B, pool*C1, w), as
+    ``_step_buffers`` makes them, are space the step overwrites: ``buf``
+    holds the conv1 map, then the conv1 map's gradient, and ``room`` the
+    per-spectrum terms of the operator's gradient.
     """
     n = xb.shape[0]
     lp, l2 = net.shapes["pool"], net.shapes["conv2"]
     pool, c1, k1, k2 = net.hp.pool, net.hp.filters1, net.hp.ksize1, net.hp.ksize2
     n2 = _fft_len(net)
     rate = net.hp.dropout
+    op1, spec, _ = _filter_operators(net)
 
-    v1 = _conv1_map(net, xb, buf)
+    v1 = _conv1_map(net, op1, xb, buf)
     x2, rel = _pool_argmax(v1)
     x2 += net.conv1.biases[:, None, None]  # exact after the max: rounding is monotone
     np.maximum(x2, 0.0, out=x2)
 
-    fx2, y2 = _conv2(net, x2)
+    # conv2's channel sums, here and below, are batched matmuls with the
+    # frequency axis leading: fx2 is (F, B, C1)
+    fx2 = np.fft.rfft(x2, n=n2).transpose(2, 1, 0)
+    spec2 = fx2 @ np.conj(spec).transpose(2, 1, 0)
+    spec2[0] += n2 * net.conv2.biases
+    y2 = np.fft.irfft(spec2.transpose(1, 2, 0), n=n2)[:, :, :l2]
     flat = np.maximum(y2, 0.0).reshape(n, -1)
     fdrop, keep = dropout_apply(flat, rate, rng)
-    pred, z1, a1, z2, a2 = _dense_head(net, fdrop)
+    z1 = fdrop @ net.dense1.weights.T + net.dense1.biases
+    a1 = np.maximum(z1, 0.0)
+    z2 = a1 @ net.dense2.weights.T + net.dense2.biases
+    a2 = np.maximum(z2, 0.0)
+    pred = (a2 @ net.output.weights.T + net.output.biases)[:, 0]
 
     g3 = (2.0 * (pred - y) / n)[:, None]
     d_wout = g3.T @ a2
@@ -626,9 +707,7 @@ def _train_step(net: Network, xb: np.ndarray, y: np.ndarray,
     d_f2 = np.fft.irfft(
         (np.conj(fg2).transpose(0, 2, 1) @ fx2).transpose(1, 2, 0), n=n2)[:, :, :k2]
     d_cb2 = gy2.sum(axis=(0, 2))
-    gx2 = np.fft.irfft(
-        (fg2 @ _filter_operators(net)[1].transpose(2, 0, 1)).transpose(2, 1, 0),
-        n=n2)[:, :, :lp]
+    gx2 = np.fft.irfft((fg2 @ spec.transpose(2, 0, 1)).transpose(2, 1, 0), n=n2)[:, :, :lp]
 
     # ReLU acts on the pooled value: windows whose max is <= 0 pass nothing
     geff = gx2 * (x2 > 0)
@@ -637,7 +716,13 @@ def _train_step(net: Network, xb: np.ndarray, y: np.ndarray,
     # masked copy or a scatter
     g1 = np.equal(np.arange(pool, dtype=rel.dtype).reshape(-1, 1, 1, 1), rel, out=v1)
     g1 *= geff
-    d_toeplitz = np.matmul(g1.reshape(pool * c1, n, lp).transpose(1, 0, 2), xb).sum(axis=0)
+    g1 = g1.reshape(pool * c1, n, lp).transpose(1, 0, 2)
+    step = _rows_per_product(op1.size)
+    # the gradient of op1.T, (pool*C1, w), whose row r*C1 + c holds filter
+    # c shifted right by r
+    d_toeplitz = functools.reduce(np.add, (
+        np.matmul(g1[:, :, lo:lo + step], xb[:, lo:lo + step], out=room[:n]).sum(axis=0)
+        for lo in range(0, lp, step)))
     d_f1 = _shifted(d_toeplitz.reshape(pool, c1, -1), k1).sum(axis=0)[:, None, :]
     d_cb1 = geff.sum(axis=(1, 2))
 
@@ -720,8 +805,9 @@ def train(
 
     n_total = spectra.shape[0]
     opt = Adam(net.parameters(), hp.learning_rate)
-    # the blocks and the conv1 map of every batch, 3 MB each at the defaults
-    room, buf = _conv1_room(net, min(hp.batch, n_total))
+    # the conv1 map and the operator-gradient terms of every batch, 3 MB
+    # and 1.2 MB at the defaults
+    buf, room = _step_buffers(net, min(hp.batch, n_total))
     trace: list[EpochRecord] = []
 
     for epoch in range(hp.epochs):
@@ -734,8 +820,8 @@ def train(
             for lo in range(0, n_total, hp.batch):
                 idx = order[lo:lo + hp.batch]
                 y = targets[idx]
-                xb = _gather_blocks(net, spectra[idx], room)
-                pred, grads = _train_step(net, xb, y, rng, buf)
+                xb = _conv1_blocks(net, spectra[idx])
+                pred, grads = _train_step(net, xb, y, rng, buf, room)
                 res = pred - y
                 sq_sum += float(res @ res)
                 opt.step(grads)

@@ -38,8 +38,8 @@ def small_dataset(bundled_records):
 
 def train_step(net, xs, ys, rng=None):
     """``nn._train_step`` on raw spectra (B, P): (pred, MSE gradients)."""
-    room, buf = nn._conv1_room(net, len(xs))
-    return nn._train_step(net, nn._gather_blocks(net, xs, room), ys, rng, buf)
+    return nn._train_step(net, nn._conv1_blocks(net, xs), ys, rng,
+                          *nn._step_buffers(net, len(xs)))
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

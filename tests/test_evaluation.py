@@ -28,6 +28,16 @@ from olivenet.nn import DivergenceError, HyperParams, ShapeError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+
+def _run_under_blas_threads(code: str, threads: str) -> str:
+    """Standard output of ``python -c code`` with OpenBLAS limited to ``threads`` threads."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 QUICK_HP = HyperParams(filters1=2, filters2=2, ksize1=9, ksize2=3, pool=4,
                        dropout=0.0, epochs=30, batch=8, learning_rate=5e-3,
                        dense_sizes=(6, 3))
@@ -200,14 +210,33 @@ class TestDeterminismAndParallelism:
             s = evaluation.loocv(ds, data.ParameterId.ACIDITY, hp, seed=7)
             print(evaluation.summary_to_json(s), end="")
         """)
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        outs = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                  text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            outs.append(proc.stdout)
+        outs = [_run_under_blas_threads(code, threads) for threads in ("1", "2")]
+        assert outs[0] == outs[1]
+
+    # Unsplit, one spectrum's conv1 products would hold 566k multiply-adds
+    # on 2048 px and 555k at filters1=12, over the 2**19 = 524k that
+    # OpenBLAS runs on one thread, and on 4096 px 1.14M; conv2's inference
+    # product there would hold 1.57M.  The 4096 px case tells each of the
+    # three splits apart: without any one of them its results differ.
+    @pytest.mark.parametrize("sizes, pixels", [({}, 2048), ({"filters1": 12}, 1024),
+                                               ({"filters2": 8, "ksize2": 60}, 4096)],
+                             ids=["defaults-2048px", "filters1-12-1024px",
+                                  "filters2-8-ksize2-60-4096px"])
+    def test_blas_thread_count_does_not_change_engine_results(self, sizes, pixels):
+        code = textwrap.dedent(f"""
+            import hashlib
+            import numpy as np
+            from olivenet import nn
+            hp = nn.HyperParams(epochs=2, **{sizes!r})
+            rng = np.random.default_rng(0)
+            x, y = rng.standard_normal((80, {pixels})), rng.standard_normal(80)
+            net = nn.build_network(hp, {pixels}, np.random.default_rng(1))
+            nn.train(net, x, y, hp, np.random.default_rng(2))
+            parts = [v.tobytes() for v in net.parameters().values()]
+            parts += [nn.forward(net, x).tobytes(), np.float64(nn.forward(net, x[0])).tobytes()]
+            print(hashlib.sha256(b"".join(parts)).hexdigest(), end="")
+        """)
+        outs = [_run_under_blas_threads(code, threads) for threads in ("1", "2")]
         assert outs[0] == outs[1]
 
     def test_jobs_capped_at_oil_count(self, bundled_records, monkeypatch):

@@ -381,16 +381,32 @@ class TestNetworkForward:
         singles = np.array([forward(toy_net, x) for x in xs])
         np.testing.assert_allclose(batched, singles, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("hp, p", [(TOY_HP, TOY_P), (HyperParams(), 1024)])
+    # conv2's output length l2 against CONV2_BLOCK = 13: 28 and 113 are not
+    # multiples of it, 104 is, and 11 is shorter than one block
+    @pytest.mark.parametrize("hp, p, l2", [(TOY_HP, TOY_P, 28), (HyperParams(), 1024, 104),
+                                           (TOY_HP, 30, 11), (HyperParams(), 1100, 113)],
+                             ids=["hp0-64", "hp1-1024", "hp2-30", "hp3-1100"])
     @pytest.mark.parametrize("b", [1, 2 * nn.INFER_CHUNK + 1])
-    def test_inference_pass_matches_training_step(self, hp, p, b, rng):
+    def test_inference_pass_matches_training_step(self, hp, p, l2, b, rng):
         # b = 2*chunk + 1 leaves a one-row last chunk; no dropout, as in eval
         net = build_network(replace(hp, dropout=0.0), p, np.random.default_rng(31))
+        assert net.shapes["conv2"] == l2
         xs = rng.standard_normal((b, p))
         step, _ = train_step(net, xs, np.zeros(b))
         np.testing.assert_allclose(forward(net, xs), step, rtol=1e-12,
                                    atol=1e-14 * np.abs(step).max())
         assert forward(net, xs[0]) == pytest.approx(step[0], rel=1e-12, abs=1e-14)
+
+    def test_any_memory_layout_equals_a_contiguous_copy(self, rng):
+        net = build_network(HyperParams(), 1024, np.random.default_rng(17))
+        xs = rng.standard_normal((70, 1024))
+        want = forward(net, xs.copy())
+        assert np.array_equal(forward(net, np.asfortranarray(xs)), want)
+        assert np.array_equal(forward(net, np.ascontiguousarray(xs[::-1])[::-1]), want)
+        frozen = xs.copy()
+        frozen.flags.writeable = False  # like Spectrum.intensities
+        assert np.array_equal(forward(net, frozen), want)
+        assert forward(net, frozen[3]) == forward(net, xs[3].copy())
 
     def test_eval_forward_pure(self, toy_net, rng):
         x = rng.standard_normal(TOY_P)
@@ -452,13 +468,13 @@ class TestFilterSpectraMemo:
 
 
 class TestTransformCounts:
-    """np.fft calls and conv1 operator builds of the engine at the default shape, P=1024.
+    """np.fft calls and operator builds of the engine at the default shape, P=1024.
 
-    Conv1 is a matrix product and makes no transforms.  Each filter bank's
-    operator is built once per parameter state: a forward on unchanged
-    filters transforms only its pooled maps, two transforms per chunk of
-    rows, and a training step, whose filters Adam has just moved, rebuilds
-    both operators and makes six transforms in all.
+    Conv1 is a matrix product everywhere, and so is conv2 in the inference
+    pass: a forward on unchanged filters makes no transform at all.  The
+    operators are built once per parameter state, so a training step,
+    whose filters Adam has just moved, rebuilds them; it also makes six
+    transforms, for conv2 forward and backward.
     """
 
     @pytest.fixture
@@ -473,13 +489,14 @@ class TestTransformCounts:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Each distinct conv1 operator the engine used; held, so no id is reused."""
-        seen = []
+        """Each distinct conv1 and conv2 operator the engine used; held, so no id is reused."""
+        seen = {"conv1": [], "conv2": []}
 
         def recorded(net, _real=nn._filter_operators):
             ops = _real(net)
-            if not any(ops[0] is t for t in seen):
-                seen.append(ops[0])
+            for name, op in (("conv1", ops[0]), ("conv2", ops[2])):
+                if not any(op is t for t in seen[name]):
+                    seen[name].append(op)
             return ops
         monkeypatch.setattr(nn, "_filter_operators", recorded)
         return seen
@@ -491,21 +508,23 @@ class TestTransformCounts:
     def test_forward(self, net, calls, builds, rng):
         x = rng.standard_normal(1024)
         forward(net, x)
-        assert len(calls) == 3 and len(builds) == 1  # cold: conv2's filters, then the pass
-        calls.clear()
+        assert len(calls) == 1  # cold: conv2's filter spectrum, for the training step
+        for xs in (x, rng.standard_normal((1, 1024)), rng.standard_normal((420, 1024))):
+            calls.clear()
+            forward(net, xs)
+            assert len(calls) == 0
+        assert len(builds["conv1"]) == 1 and len(builds["conv2"]) == 1
+        net.conv2.filters[0, 0, 0] += 1e-3
         forward(net, x)
-        assert len(calls) == 2 and len(builds) == 1
-        calls.clear()
-        forward(net, rng.standard_normal((420, 1024)))
-        assert len(calls) == 2 * 7  # seven chunks of at most INFER_CHUNK = 64 rows
-        assert len(builds) == 1
+        assert len(builds["conv1"]) == 2 and len(builds["conv2"]) == 2
 
     def test_train_step(self, net, calls, builds, rng):
         xs = rng.standard_normal((420, 1024))
         nn.train(net, xs, rng.standard_normal(420), replace(net.hp, epochs=1),
                  np.random.default_rng(2))
         assert len(calls) == 6 * 7  # seven steps
-        assert len(builds) == 7  # one per parameter state
+        # one per parameter state
+        assert len(builds["conv1"]) == 7 and len(builds["conv2"]) == 7
 
 
 def contract_step(net, xs, ys):
@@ -592,17 +611,18 @@ class TestCompositeGradient:
         assert_step_matches(train_step(net, xs, ys), want_pred, want)
 
     def test_step_reads_nothing_left_in_its_buffers(self, rng):
-        # ``room`` holds the blocks, ``buf`` the conv1 map, then its gradient.
-        # Both are sized for 4 rows and the batch has 3, as in train's last
-        # partial batch, so rows and columns past the batch stay unused.
+        # ``buf`` holds the conv1 map, then its gradient, and ``room`` the
+        # operator gradient's per-spectrum terms.  Both are sized for 4 rows
+        # and the batch has 3, as in train's last partial batch, so rows and
+        # columns past the batch stay unused.
         net = build_network(replace(HyperParams(), dropout=0.0), 1024,
                             np.random.default_rng(4))
         xs = rng.standard_normal((3, 1024))
         ys = rng.standard_normal(3)
         steps = []
         for fill in (0.0, np.nan):
-            room, buf = (np.full_like(a, fill) for a in nn._conv1_room(net, 4))
-            steps.append(nn._train_step(net, nn._gather_blocks(net, xs, room), ys, None, buf))
+            buf, room = (np.full_like(a, fill) for a in nn._step_buffers(net, 4))
+            steps.append(nn._train_step(net, nn._conv1_blocks(net, xs), ys, None, buf, room))
         (pred, grads), (pred_nan, grads_nan) = steps
         assert np.array_equal(pred_nan, pred)
         for key, g in grads.items():
