@@ -235,6 +235,8 @@ def loocv_checkpoint_runs(
     starts, and each task carries only the held-out oil id.  The pool starts
     all its workers at once, so ``jobs`` is capped at the number of oils.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if dataset.n_oil < 3:
         raise ValueError("leave-one-out needs at least 3 oils")
     fold_args = (*design_matrices(dataset, parameter), hp, seed)

@@ -498,6 +498,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {data / 'grid.txt'}: wavelength grid values must be finite\n")
 
+    @pytest.mark.parametrize("command, option, cause", [
+        ("train", ["--learning-rate", "nan"], "learning rate must be finite and nonnegative"),
+        ("train", ["--learning-rate", "nan", "--epochs", 0],
+         "learning rate must be finite and nonnegative"),
+        ("train", ["--learning-rate", "inf"], "learning rate must be finite and nonnegative"),
+        ("loocv", ["--jobs", -3], "jobs must be at least 1, got -3"),
+    ], ids=["nan-learning-rate", "nan-learning-rate-0-epochs", "inf-learning-rate",
+            "negative-jobs"])
+    def test_bad_option_exits_2_and_writes_nothing(self, dataset_dir, tmp_path, capsys,
+                                                   command, option, cause):
+        out = tmp_path / "o"
+        assert run(self.argv(command, dataset_dir, out) + option) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {cause}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "loocv"])
     def test_impossible_architecture_exits_2(self, dataset_dir, tmp_path, capsys, command):
         argv = self.argv(command, dataset_dir, tmp_path / "o") + ["--ksize1", 2000]

@@ -363,12 +363,9 @@ class TestNetworkForward:
         toy_net.output.biases[0] = 3.25
         assert forward(toy_net, rng.standard_normal(TOY_P)) == 3.25
 
-    # conv2's transform length n2 is the power of two at or above the pooled
-    # length lp = (P - 4) // 2: 30 -> 32, 32 -> 32 (no padding), 33 -> 64
-    @pytest.mark.parametrize("p, n2", [(TOY_P, 32), (68, 32), (70, 64)])
-    def test_matches_scalar_oracle_composition(self, p, n2, rng):
+    @pytest.mark.parametrize("p", [TOY_P, 68, 70])  # pooled lengths 30, 32, 33
+    def test_matches_scalar_oracle_composition(self, p, rng):
         net = build_network(TOY_HP, p, rng)
-        assert nn._fft_len(net) == n2
         for _ in range(20):
             x = rng.standard_normal(p)
             fast = forward(net, x)
@@ -471,10 +468,11 @@ class TestTransformCounts:
     """np.fft calls and operator builds of the engine at the default shape, P=1024.
 
     Conv1 is a matrix product everywhere, and so is conv2 in the inference
-    pass: a forward on unchanged filters makes no transform at all.  The
-    operators are built once per parameter state, so a training step,
-    whose filters Adam has just moved, rebuilds them; it also makes six
-    transforms, for conv2 forward and backward.
+    pass, so a forward makes no transform at all, cold or warm.  Only the
+    inference pass memoizes its two operators, once per parameter state.
+    A training step, whose filters Adam has just moved, builds conv1's
+    operator and conv2's filter spectrum itself, never conv2's inference
+    operator, and makes six transforms, for conv2 forward and backward.
     """
 
     @pytest.fixture
@@ -489,42 +487,40 @@ class TestTransformCounts:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Each distinct conv1 and conv2 operator the engine used; held, so no id is reused."""
-        seen = {"conv1": [], "conv2": []}
+        """``_toeplitz`` calls by block size: pool for conv1, ``CONV2_BLOCK`` for conv2."""
+        sizes = []
 
-        def recorded(net, _real=nn._filter_operators):
-            ops = _real(net)
-            for name, op in (("conv1", ops[0]), ("conv2", ops[2])):
-                if not any(op is t for t in seen[name]):
-                    seen[name].append(op)
-            return ops
-        monkeypatch.setattr(nn, "_filter_operators", recorded)
-        return seen
+        def counted(f, s, _real=nn._toeplitz):
+            sizes.append(s)
+            return _real(f, s)
+        monkeypatch.setattr(nn, "_toeplitz", counted)
+        return sizes
 
     @pytest.fixture
     def net(self):
-        return build_network(HyperParams(), 1024, np.random.default_rng(6))
+        net = build_network(HyperParams(), 1024, np.random.default_rng(6))
+        assert net.hp.pool != nn.CONV2_BLOCK  # so a block size names its operator
+        return net
 
     def test_forward(self, net, calls, builds, rng):
         x = rng.standard_normal(1024)
         forward(net, x)
-        assert len(calls) == 1  # cold: conv2's filter spectrum, for the training step
+        assert len(calls) == 0  # cold: the operators are matrices, not spectra
         for xs in (x, rng.standard_normal((1, 1024)), rng.standard_normal((420, 1024))):
-            calls.clear()
             forward(net, xs)
-            assert len(calls) == 0
-        assert len(builds["conv1"]) == 1 and len(builds["conv2"]) == 1
+        assert len(calls) == 0
+        assert builds.count(net.hp.pool) == 1 and builds.count(nn.CONV2_BLOCK) == 1
         net.conv2.filters[0, 0, 0] += 1e-3
         forward(net, x)
-        assert len(builds["conv1"]) == 2 and len(builds["conv2"]) == 2
+        assert builds.count(net.hp.pool) == 2 and builds.count(nn.CONV2_BLOCK) == 2
 
     def test_train_step(self, net, calls, builds, rng):
         xs = rng.standard_normal((420, 1024))
         nn.train(net, xs, rng.standard_normal(420), replace(net.hp, epochs=1),
                  np.random.default_rng(2))
         assert len(calls) == 6 * 7  # seven steps
-        # one per parameter state
-        assert len(builds["conv1"]) == 7 and len(builds["conv2"]) == 7
+        # one conv1 operator per step, and no inference operator
+        assert builds.count(net.hp.pool) == 7 and builds.count(nn.CONV2_BLOCK) == 0
 
 
 def contract_step(net, xs, ys):
@@ -568,9 +564,14 @@ def assert_step_matches(step, want_pred, want):
 
 
 class TestCompositeGradient:
-    @pytest.mark.parametrize("p", [TOY_P, 68, 70])  # pooled lengths 30, 32, 33
-    def test_full_network_gradient_vs_finite_differences(self, p, rng):
+    # conv2's transform length n2 in the training step is the power of two at
+    # or above the pooled length lp = (P - 4) // 2: 30 -> 32, 32 -> 32 (no
+    # padding), 33 -> 64
+    @pytest.mark.parametrize("p, n2", [(TOY_P, 32), (68, 32), (70, 64)],
+                             ids=["64", "68", "70"])
+    def test_full_network_gradient_vs_finite_differences(self, p, n2, rng):
         net = build_network(TOY_HP, p, rng)
+        assert nn._fft_len(net) == n2
         xs = rng.standard_normal((3, p))
         ys = rng.standard_normal(3)
         # Zero biases put a layer fed by an all-zero ReLU output exactly on

@@ -207,9 +207,14 @@ class TestCheckpointFormat:
          "exactly two"),
         (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dense_sizes=[16, 8, 4])),
          "exactly two"),
+        # json writes these as the bare tokens NaN and Infinity and reads them back
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(learning_rate=np.nan)),
+         "learning rate must be finite"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(learning_rate=np.inf)),
+         "learning rate must be finite"),
     ], ids=["last-parameter", "magic-only", "no-header-length", "no-hyperparams",
             "unknown-hyperparam", "string-input-len", "float-size", "bool-size",
-            "one-dense-size", "three-dense-sizes"])
+            "one-dense-size", "three-dense-sizes", "nan-learning-rate", "inf-learning-rate"])
     def test_truncated_file_rejected(self, tmp_path, toy_net, damage, cause):
         save_network(toy_net, tmp_path / "m.ocnn")
         raw = (tmp_path / "m.ocnn").read_bytes()
