@@ -56,14 +56,26 @@ class EmptyResultError(Exception):
     """Nothing to report; maps to exit code 3."""
 
 
+#: Bytes ``file_sha256`` reads at a time.
+HASH_CHUNK = 1 << 20
+
+
+def file_sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read ``HASH_CHUNK`` bytes at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_manifest(out_dir: Path, args: argparse.Namespace, inputs: dict[str, Path]) -> None:
     """Write ``manifest.json``: every parsed option and a hash of each input file."""
     manifest = {k: v for k, v in vars(args).items() if k != "func"}
     manifest.update(
         artifact_version=__version__,
         created_utc=datetime.now(timezone.utc).isoformat(),
-        dataset_fingerprint={name: hashlib.sha256(p.read_bytes()).hexdigest()
-                             for name, p in inputs.items()},
+        dataset_fingerprint={name: file_sha256(p) for name, p in inputs.items()},
     )
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")

@@ -16,6 +16,8 @@ reject a ``nan`` or ``inf``, and the loaders name the line it came from.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
@@ -84,7 +86,9 @@ class WavelengthGrid:
         return int(self.values.size)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WavelengthGrid) and np.array_equal(self.values, other.values)
+        # every spectrum of a dataset usually holds the dataset's own grid
+        return other is self or (
+            isinstance(other, WavelengthGrid) and np.array_equal(self.values, other.values))
 
 
 def default_grid(pixels: int = 1024, start_nm: float = 350.0, stop_nm: float = 850.0) -> WavelengthGrid:
@@ -324,14 +328,41 @@ def load_grid(path: str | Path) -> WavelengthGrid:
 
 
 def save_spectra(dataset: Dataset, path: str | Path) -> None:
-    """Write spectra as CSV: ``oil_id,excitation_nm,repetition,i_0..i_{P-1}``."""
+    """Write spectra as CSV: ``oil_id,excitation_nm,repetition,i_0..i_{P-1}``.
+
+    Rows are written one at a time.  The id fields go through ``csv`` so an
+    oil id is quoted as ``csv.writer`` quotes it; the intensities, which never
+    need quoting, are joined in one call.
+    """
     p = len(dataset.grid)
+    ids = io.StringIO()
+    id_writer = csv.writer(ids)
+    eol = id_writer.dialect.lineterminator
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["oil_id", "excitation_nm", "repetition"] + [f"i_{i}" for i in range(p)])
+        csv.writer(fh).writerow(["oil_id", "excitation_nm", "repetition"]
+                                + [f"i_{i}" for i in range(p)])
         for s in dataset.spectra:
-            writer.writerow([s.oil_id, s.excitation_nm, s.repetition]
-                            + [_fmt(v) for v in s.intensities])
+            ids.seek(0)
+            ids.truncate()
+            id_writer.writerow([s.oil_id, s.excitation_nm, s.repetition])
+            # tolist() gives Python floats, whose repr is _fmt's string
+            fh.write(ids.getvalue()[:-len(eol)] + ","
+                     + ",".join(map(repr, s.intensities.tolist())) + eol)
+
+
+def _csv_rows(fh):
+    """The rows ``csv.reader(fh)`` gives, without its per-cell cost.
+
+    A line holding no double quote means to ``csv`` what it means to
+    ``str.split`` at its commas; a line holding one (a quoted oil id, which
+    may span lines) is read by ``csv.reader``.
+    """
+    for text in fh:
+        if '"' in text:
+            yield next(csv.reader(itertools.chain([text], fh)))
+        else:
+            body = text.rstrip("\r\n")
+            yield body.split(",") if body else []
 
 
 def load_spectra(
@@ -339,25 +370,28 @@ def load_spectra(
     grid_path: str | Path,
     records: Sequence[OilRecord],
 ) -> Dataset:
-    """Read a spectra CSV plus its companion grid file into a Dataset."""
+    """Read a spectra CSV plus its companion grid file into a Dataset.
+
+    The file is read one record at a time, never whole.
+    """
     grid = load_grid(grid_path)
     p = len(grid)
     spectra: list[Spectrum] = []
     reps: dict[str, int] = {}
     with Path(spectra_path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = _csv_rows(fh)
+        header = next(rows, None)
         if header is None:
             raise ValueError("line 1: empty spectra file")
         if header[:3] != ["oil_id", "excitation_nm", "repetition"] or len(header) != 3 + p:
             raise ValueError("line 1: bad spectra header")
-        for line, row in enumerate(reader, start=2):
+        for line, row in enumerate(rows, start=2):
             if len(row) != 3 + p:
                 raise ValueError(f"line {line}: expected {3 + p} fields, got {len(row)}")
             try:
                 spectra.append(Spectrum(
                     grid=grid,
-                    intensities=np.array([float(v) for v in row[3:]]),
+                    intensities=np.fromiter(map(float, row[3:]), dtype=float, count=p),
                     excitation_nm=int(row[1]),
                     oil_id=row[0],
                     repetition=int(row[2]),

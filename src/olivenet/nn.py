@@ -237,6 +237,9 @@ class HyperParams:
             raise ValueError("all size hyperparameters must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        # true would otherwise pass as 1.0 and false as 0.0
+        if isinstance(self.dropout, bool) or isinstance(self.learning_rate, bool):
+            raise ValueError("dropout and learning rate must be numbers, not booleans")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         # NaN fails both comparisons, so it is rejected with inf

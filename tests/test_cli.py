@@ -565,6 +565,29 @@ class TestManifest:
         del options["func"]
         assert meta == options
 
+    @pytest.mark.parametrize("size", [0, 999, 1000, 2 * 1000 + 17])
+    def test_file_hash_reads_in_chunks(self, tmp_path, monkeypatch, size):
+        monkeypatch.setattr(cli, "HASH_CHUNK", 1000)
+        f = tmp_path / "big.bin"
+        f.write_bytes(np.random.default_rng(size).bytes(size))
+        whole = hashlib.sha256(f.read_bytes()).hexdigest()
+        assert cli.file_sha256(f) == whole
+
+    def test_manifest_never_holds_a_whole_input(self, dataset_dir, tmp_path, monkeypatch):
+        # spectra.csv spans several chunks; the fingerprint is still its whole-file hash
+        monkeypatch.setattr(cli, "HASH_CHUNK", 4096)
+        expected = {n: sha(dataset_dir / n) for n in ("grid.txt", "labels.csv", "spectra.csv")}
+        assert (dataset_dir / "spectra.csv").stat().st_size > 3 * cli.HASH_CHUNK
+
+        def whole_file(self):
+            raise AssertionError(f"read {self} whole")
+        monkeypatch.setattr(type(dataset_dir), "read_bytes", whole_file)
+        args = cli.build_parser().parse_args(
+            ["train", "--data", str(dataset_dir), "--parameter", "acidity", "--out", "x"])
+        cli.write_manifest(tmp_path, args, {n: dataset_dir / n for n in expected})
+        meta = json.loads((tmp_path / "manifest.json").read_text())
+        assert meta["dataset_fingerprint"] == expected
+
     def test_validation_cadence_is_not_an_option(self, tmp_path):
         with pytest.raises(SystemExit) as e:
             run(["loocv", "--data", tmp_path, "--parameter", "acidity",

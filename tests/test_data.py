@@ -1,7 +1,11 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from olivenet import data as dmod
+from olivenet import synth
 from olivenet.data import (
     Dataset,
     OilRecord,
@@ -209,3 +213,94 @@ class TestSpectraIO:
         dmod.save_grid(small_dataset.grid, tmp_path / "g.txt")
         with pytest.raises(ValueError, match=r"^line 1: empty spectra file$"):
             dmod.load_spectra(tmp_path / "s.csv", tmp_path / "g.txt", small_dataset.records)
+
+    @pytest.fixture
+    def awkward_dataset(self, bundled_records):
+        """Two oils whose ids ``csv`` must quote: a comma and quote, a line break."""
+        recs = [replace(bundled_records[0], oil_id='A,"1"'),
+                replace(bundled_records[1], oil_id="B\n2"), bundled_records[2]]
+        return synth.generate_dataset(recs, 395, 2, synth.default_generator_config(seed=5),
+                                      dmod.default_grid(48))
+
+    def test_save_writes_csv_writer_bytes(self, awkward_dataset, tmp_path):
+        # the layout csv.writer gives the rows, with each intensity as repr(float)
+        oracle = tmp_path / "oracle.csv"
+        with oracle.open("w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(["oil_id", "excitation_nm", "repetition"]
+                       + [f"i_{i}" for i in range(len(awkward_dataset.grid))])
+            for sp in awkward_dataset.spectra:
+                w.writerow([sp.oil_id, sp.excitation_nm, sp.repetition]
+                           + [repr(float(v)) for v in sp.intensities])
+        dmod.save_spectra(awkward_dataset, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == oracle.read_bytes()
+        assert b'"A,""1""",395,1,' in oracle.read_bytes()
+
+    def test_quoted_ids_round_trip(self, awkward_dataset, tmp_path):
+        dmod.save_spectra(awkward_dataset, tmp_path / "s.csv")
+        dmod.save_grid(awkward_dataset.grid, tmp_path / "g.txt")
+        back = dmod.load_spectra(tmp_path / "s.csv", tmp_path / "g.txt",
+                                 awkward_dataset.records)
+        assert back.records == awkward_dataset.records
+        for a, b in zip(back.spectra, awkward_dataset.spectra, strict=True):
+            assert (a.oil_id, a.repetition) == (b.oil_id, b.repetition)
+            assert np.array_equal(a.intensities, b.intensities)
+
+    def test_line_numbers_count_records(self, awkward_dataset, tmp_path):
+        # the two "B\n2" records span two lines each; an error names the
+        # record, as enumerating a csv.reader does: the 7th is the last
+        dmod.save_spectra(awkward_dataset, tmp_path / "s.csv")
+        dmod.save_grid(awkward_dataset.grid, tmp_path / "g.txt")
+        raw = (tmp_path / "s.csv").read_bytes()
+        (tmp_path / "s.csv").write_bytes(raw.rsplit(b",", 1)[0] + b",nan\r\n")
+        last = awkward_dataset.spectra[-1].oil_id
+        with pytest.raises(ValueError, match=rf"^line 7: non-finite intensity for oil '{last}'$"):
+            dmod.load_spectra(tmp_path / "s.csv", tmp_path / "g.txt", awkward_dataset.records)
+
+    @staticmethod
+    def _edited(small_dataset, tmp_path, edit, eol="\r\n"):
+        """``small_dataset`` saved, its lines changed by ``edit``, written with ``eol``."""
+        dmod.save_spectra(small_dataset, tmp_path / "s.csv")
+        dmod.save_grid(small_dataset.grid, tmp_path / "g.txt")
+        lines = (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()
+        (tmp_path / "s.csv").write_bytes((eol.join(edit(lines)) + eol).encode())
+        return tmp_path / "s.csv", tmp_path / "g.txt"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_any_line_ending_reads_back(self, small_dataset, tmp_path, eol):
+        paths = self._edited(small_dataset, tmp_path, lambda lines: lines, eol)
+        back = dmod.load_spectra(*paths, small_dataset.records)
+        for a, b in zip(back.spectra, small_dataset.spectra, strict=True):
+            assert np.array_equal(a.intensities, b.intensities)
+
+    @staticmethod
+    def _cell(lines, line, column, value):
+        cells = lines[line - 1].split(",")
+        cells[column] = value
+        return lines[:line - 1] + [",".join(cells)] + lines[line:]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0]] + ls[4:],
+         r"^line 4: expected 131 fields, got 130$"),
+        (lambda ls: ls[:3] + [ls[3] + ",1.0"] + ls[4:], r"^line 4: expected 131 fields, got 132$"),
+        (lambda ls: ls[:2] + [""] + ls[2:], r"^line 3: expected 131 fields, got 0$"),
+        (lambda ls: TestSpectraIO._cell(ls, 5, 40, "1.0x"),
+         r"^line 5: could not convert string to float: '1.0x'$"),
+        (lambda ls: TestSpectraIO._cell(ls, 5, 40, ""),
+         r"^line 5: could not convert string to float: ''$"),
+        (lambda ls: TestSpectraIO._cell(ls, 6, 9, "nan"),
+         r"^line 6: non-finite intensity for oil '\w+'$"),
+        (lambda ls: TestSpectraIO._cell(ls, 2, 130, "-inf"),
+         r"^line 2: non-finite intensity for oil '\w+'$"),
+        (lambda ls: TestSpectraIO._cell(ls, 3, 1, "395.5"),
+         r"^line 3: invalid literal for int\(\) with base 10: '395.5'$"),
+        (lambda ls: TestSpectraIO._cell(ls, 3, 2, "0"), r"^line 3: repetition is 1-based$"),
+        (lambda ls: TestSpectraIO._cell(ls, 1, 1, "excitation"), r"^line 1: bad spectra header$"),
+        (lambda ls: ls[:1], r"^spectra file holds no rows$"),
+    ], ids=["short-row", "long-row", "blank-line", "bad-cell", "empty-cell", "nan-cell",
+            "inf-last-cell", "bad-excitation", "bad-repetition", "bad-header", "no-rows"])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_bad_row_names_its_line(self, small_dataset, tmp_path, edit, message, eol):
+        paths = self._edited(small_dataset, tmp_path, edit, eol)
+        with pytest.raises(ValueError, match=message):
+            dmod.load_spectra(*paths, small_dataset.records)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,35 @@ class TestGenerateDataset:
         by_key = {(s.oil_id, s.repetition): s.intensities for s in full.spectra}
         for s in subset.spectra:
             assert np.array_equal(s.intensities, by_key[(s.oil_id, s.repetition)])
+
+    @pytest.mark.parametrize("noise", [0.01, 0.0], ids=["noisy", "noise-free"])
+    @pytest.mark.parametrize("excitation", [365, 395])
+    def test_equals_generate_spectrum_bitwise(self, bundled_records, noise, excitation):
+        cfg = replace(synth.default_generator_config(seed=4), noise_sigma=noise)
+        grid = dmod.default_grid(128)
+        ds = generate_dataset(bundled_records, excitation, 3, cfg, grid)
+        assert ds.n_spectra == 3 * len(bundled_records)
+        for s in ds.spectra:
+            one = generate_spectrum(ds.record_for(s.oil_id), excitation, s.repetition, cfg, grid)
+            assert np.array_equal(s.intensities, one.intensities)
+            assert (s.excitation_nm, s.grid) == (one.excitation_nm, one.grid)
+
+    def test_clean_signal_built_once_per_oil(self, bundled_records, monkeypatch):
+        # the noise-free spectrum depends on the oil alone, not on the repetition
+        calls = []
+
+        def counted(signal, resolution_px, _real=apply_instrument_response):
+            calls.append(1)
+            return _real(signal, resolution_px)
+        monkeypatch.setattr(synth, "apply_instrument_response", counted)
+        cfg = synth.default_generator_config(seed=7)
+        ds = generate_dataset(bundled_records, 395, 20, cfg, dmod.default_grid(64))
+        assert (ds.n_oil, ds.n_spectra) == (22, 440)
+        assert len(calls) == 22
+
+    def test_bad_input_checked_per_oil(self, bundled_records):
+        with pytest.raises(ValueError, match="no LED at 525 nm"):
+            generate_dataset(bundled_records[:2], 525, 3, simple_config(), GRID)
+        empty = record("T09", acidity=None)
+        with pytest.raises(ValueError, match="'T09' has no parameter values"):
+            generate_dataset([record(), empty], 395, 3, simple_config(), GRID)

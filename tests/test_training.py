@@ -141,6 +141,15 @@ class TestTrain:
         assert seen == [0, 1, 2, 3]
 
 
+class TestHyperParams:
+    @pytest.mark.parametrize("field", ["learning_rate", "dropout"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_rate_rejected(self, field, value):
+        # bool is an int, so without its own check True would pass as 1.0
+        with pytest.raises(ValueError, match="not booleans"):
+            HyperParams(**{field: value})
+
+
 class TestTraceCsv:
     def test_round_trippable_text(self, tmp_path, rng):
         x, y = toy_problem(rng)
@@ -212,9 +221,14 @@ class TestCheckpointFormat:
          "learning rate must be finite"),
         (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(learning_rate=np.inf)),
          "learning rate must be finite"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(learning_rate=True)),
+         "not booleans"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dropout=False)),
+         "not booleans"),
     ], ids=["last-parameter", "magic-only", "no-header-length", "no-hyperparams",
             "unknown-hyperparam", "string-input-len", "float-size", "bool-size",
-            "one-dense-size", "three-dense-sizes", "nan-learning-rate", "inf-learning-rate"])
+            "one-dense-size", "three-dense-sizes", "nan-learning-rate", "inf-learning-rate",
+            "bool-learning-rate", "bool-dropout"])
     def test_truncated_file_rejected(self, tmp_path, toy_net, damage, cause):
         save_network(toy_net, tmp_path / "m.ocnn")
         raw = (tmp_path / "m.ocnn").read_bytes()
