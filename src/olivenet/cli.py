@@ -56,15 +56,11 @@ class EmptyResultError(Exception):
     """Nothing to report; maps to exit code 3."""
 
 
-#: Bytes ``file_sha256`` reads at a time.
-HASH_CHUNK = 1 << 20
-
-
 def file_sha256(path: Path) -> str:
-    """Hex SHA-256 of a file, read ``HASH_CHUNK`` bytes at a time."""
+    """Hex SHA-256 of a file, read 1 MiB at a time."""
     digest = hashlib.sha256()
     with path.open("rb") as fh:
-        while chunk := fh.read(HASH_CHUNK):
+        while chunk := fh.read(1 << 20):
             digest.update(chunk)
     return digest.hexdigest()
 

@@ -565,26 +565,27 @@ class TestManifest:
         del options["func"]
         assert meta == options
 
-    @pytest.mark.parametrize("size", [0, 999, 1000, 2 * 1000 + 17])
-    def test_file_hash_reads_in_chunks(self, tmp_path, monkeypatch, size):
-        monkeypatch.setattr(cli, "HASH_CHUNK", 1000)
+    @pytest.mark.parametrize("size", [0, 1 << 20, 2 * (1 << 20) + 17])
+    def test_file_hash_reads_in_chunks(self, tmp_path, size):
+        # files of no, exactly one and more than two 1 MiB chunks
         f = tmp_path / "big.bin"
         f.write_bytes(np.random.default_rng(size).bytes(size))
         whole = hashlib.sha256(f.read_bytes()).hexdigest()
         assert cli.file_sha256(f) == whole
 
     def test_manifest_never_holds_a_whole_input(self, dataset_dir, tmp_path, monkeypatch):
-        # spectra.csv spans several chunks; the fingerprint is still its whole-file hash
-        monkeypatch.setattr(cli, "HASH_CHUNK", 4096)
-        expected = {n: sha(dataset_dir / n) for n in ("grid.txt", "labels.csv", "spectra.csv")}
-        assert (dataset_dir / "spectra.csv").stat().st_size > 3 * cli.HASH_CHUNK
+        # an input larger than two chunks still gets its whole-file hash
+        inputs = {n: dataset_dir / n for n in ("grid.txt", "labels.csv", "spectra.csv")}
+        inputs["big.bin"] = tmp_path / "big.bin"
+        inputs["big.bin"].write_bytes(np.random.default_rng(0).bytes(2 * (1 << 20) + 17))
+        expected = {n: sha(f) for n, f in inputs.items()}
 
         def whole_file(self):
             raise AssertionError(f"read {self} whole")
         monkeypatch.setattr(type(dataset_dir), "read_bytes", whole_file)
         args = cli.build_parser().parse_args(
             ["train", "--data", str(dataset_dir), "--parameter", "acidity", "--out", "x"])
-        cli.write_manifest(tmp_path, args, {n: dataset_dir / n for n in expected})
+        cli.write_manifest(tmp_path, args, inputs)
         meta = json.loads((tmp_path / "manifest.json").read_text())
         assert meta["dataset_fingerprint"] == expected
 
