@@ -25,7 +25,6 @@ a fold still exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -89,13 +88,23 @@ def _out_dir(arg: str) -> Path:
     return p
 
 
+def _named(path: Path, load, *args):
+    """``load(path, *args)``, with ``path`` prefixed to any input error it raises."""
+    try:
+        return load(path, *args)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def _load_dataset_dir(args) -> tuple[dmod.ParameterId, dmod.Dataset, dict[str, Path]]:
     """``--parameter``, the ``--data`` dataset filtered to it, and its three files."""
     parameter = dmod.ParameterId(args.parameter)
     files = {name: _require(Path(args.data) / name, what) for name, what in (
         ("labels.csv", "labels file"), ("spectra.csv", "spectra file"), ("grid.txt", "grid file"))}
-    dataset = dmod.load_spectra(files["spectra.csv"], files["grid.txt"],
-                                dmod.load_labels(files["labels.csv"]))
+    records = _named(files["labels.csv"], dmod.load_labels)
+    # load_grid names its own file: check it here, outside the spectra file's prefix
+    dmod.load_grid(files["grid.txt"])
+    dataset = _named(files["spectra.csv"], dmod.load_spectra, files["grid.txt"], records)
     return parameter, dmod.filter_for_parameter(dataset, parameter), files
 
 
@@ -132,7 +141,7 @@ def _add_hp_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_generate(args) -> int:
     labels_path = Path(args.labels) if args.labels else dmod.bundled_labels_path()
-    records = dmod.load_labels(_require(labels_path, "labels file"))
+    records = _named(_require(labels_path, "labels file"), dmod.load_labels)
     if args.gen_config:
         config = synth.load_generator_config(_require(Path(args.gen_config), "generator config"),
                                              args.seed)
@@ -254,49 +263,20 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _read_parameter_table(path: Path) -> list[tuple[str, dict]]:
-    """Read oil_id plus the five parameter columns; other columns are ignored."""
-    rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        need = ["oil_id"] + [p.value for p in dmod.PARAMETER_ORDER]
-        missing = [c for c in need if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        for row in reader:
-            values = {}
-            for p in dmod.PARAMETER_ORDER:
-                cell = (row[p.value] or "").strip()
-                if cell in ("", "-"):
-                    values[p] = None
-                    continue
-                try:
-                    values[p] = float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: line {reader.line_num}: "
-                                     f"{p.value} {cell!r} is not a number") from None
-                if not np.isfinite(values[p]):
-                    raise ValueError(f"{path}: line {reader.line_num}: "
-                                     f"{p.value} {cell!r} is not finite")
-            rows.append((row["oil_id"], values))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return rows
-
-
 def cmd_classify(args) -> int:
-    table = _read_parameter_table(_require(Path(args.input), "input table"))
+    path = _require(Path(args.input), "input table")
+    table = _named(path, lambda p: list(dmod.read_oil_table(p)))
+    if not table:
+        raise ValueError(f"{path}: no data rows")
     thresholds = (qmod.load_thresholds(_require(Path(args.thresholds), "thresholds file"))
                   if args.thresholds else qmod.default_thresholds())
     out_rows = []
-    for oil_id, values in table:
-        verdict = qmod.classify(values, thresholds)
+    for _, oil_id, values, _ in table:
+        verdict = qmod.classify(dict(zip(dmod.PARAMETER_ORDER, values)), thresholds)
         failing = ";".join(f"{p.value}={v:g}>{lim:g}" for p, v, lim in verdict.failing_parameters)
         unevaluated = ";".join(p.value for p in verdict.unevaluated)
         out_rows.append((oil_id, verdict.grade.value, failing, unevaluated))
-    lines = ["oil_id,grade,failing,unevaluated"]
-    lines += [",".join(r) for r in out_rows]
-    text = "\n".join(lines) + "\n"
+    text = dmod.write_csv_text(("oil_id", "grade", "failing", "unevaluated"), out_rows)
     if args.out:
         out = _out_dir(args.out)
         (out / "verdicts.csv").write_text(text, encoding="utf-8")
@@ -356,14 +336,11 @@ def cmd_report(args) -> int:
         out = _out_dir(args.out)
         (out / "table.txt").write_text(table, encoding="utf-8")
         emod.save_scatter_csv(summaries, out / "scatter_all.csv")
-        with (out / "predictions.csv").open("w", encoding="utf-8") as fh:
-            fh.write("oil_id," + ",".join(p.value for p in dmod.PARAMETER_ORDER) + "\n")
-            for oil_id in sorted(preds):
-                row = [oil_id]
-                for p in dmod.PARAMETER_ORDER:
-                    v = preds[oil_id].get(p.value)
-                    row.append("-" if v is None else repr(v))
-                fh.write(",".join(row) + "\n")
+        names = [p.value for p in dmod.PARAMETER_ORDER]
+        (out / "predictions.csv").write_text(dmod.write_csv_text(
+            ["oil_id"] + names,
+            ([oil_id] + [preds[oil_id].get(n, "-") for n in names] for oil_id in sorted(preds))),
+            encoding="utf-8")
         write_manifest(out, args, {f"summary{i}.json": Path(r) / "summary.json"
                                    for i, r in enumerate(completed)})
     return EXIT_OK

@@ -227,57 +227,74 @@ def normalize(spectrum: Spectrum) -> Spectrum:
     return replace(spectrum, intensities=z)
 
 
-def _parse_cell(cell: str, name: str, line: int) -> Optional[float]:
-    cell = cell.strip()
-    if cell in ("-", ""):
-        return None
-    try:
-        return float(cell)
-    except ValueError:
-        raise ValueError(f"line {line}: bad {name} value {cell!r}") from None
+def read_oil_table(path: str | Path, header: Optional[Sequence[str]] = None):
+    """Yield ``(line, oil_id, values, cells)`` per record of a per-oil CSV table.
 
-
-def load_labels(path: str | Path) -> list[OilRecord]:
-    """Read an oil labels CSV.
-
-    Layout: ``oil_id,acidity,peroxide,k270,k232,ethyl_esters,quality``;
-    missing values are ``-`` or empty.
+    It needs ``oil_id`` and the five parameter columns (``values``, in
+    ``PARAMETER_ORDER``, None for ``-`` or empty) and, given ``header``,
+    exactly that header.  A record needs the header's width, a new non-empty
+    id and finite numbers.  Lines count records, the header being line 1.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    names = ["oil_id"] + [p.value for p in PARAMETER_ORDER]
+    with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("line 1: empty file") from None
-        header = [h.strip() for h in header]
-        if header != list(LABELS_HEADER):
-            raise ValueError(f"line 1: unexpected header {header}")
-
-        records: list[OilRecord] = []
+        found = [h.strip() for h in next(reader, None) or []]
+        if not found:
+            raise ValueError("line 1: empty file")
+        if header is not None and found != list(header):
+            raise ValueError(f"line 1: unexpected header {found}")
+        missing = [c for c in names if c not in found]
+        if missing:
+            raise ValueError(f"line 1: missing columns {missing}")
+        id_col, *value_cols = (found.index(c) for c in names)
         seen: set[str] = set()
         for line, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(row) != len(LABELS_HEADER):
-                raise ValueError(f"line {line}: expected {len(LABELS_HEADER)} fields, "
-                                 f"got {len(row)}")
-            oil_id = row[0].strip()
+            if len(row) != len(found):
+                raise ValueError(f"line {line}: expected {len(found)} fields, got {len(row)}")
+            oil_id = row[id_col].strip()
             if not oil_id:
                 raise ValueError(f"line {line}: empty oil_id")
             if oil_id in seen:
                 raise ValueError(f"duplicate oil_id {oil_id!r} at line {line}")
             seen.add(oil_id)
-            vals = [_parse_cell(row[i], LABELS_HEADER[i], line) for i in range(1, 6)]
-            qcell = row[6].strip()
-            try:
-                quality = Quality(qcell)
-            except ValueError:
-                raise ValueError(f"line {line}: bad quality {qcell!r}") from None
-            try:
-                records.append(OilRecord(oil_id, *vals, quality=quality))
-            except ValueError as e:
-                raise ValueError(f"line {line}: {e}") from None
+            values: list[Optional[float]] = []
+            for name, col in zip(names[1:], value_cols):
+                cell = row[col].strip()
+                try:
+                    v = None if cell in ("-", "") else float(cell)
+                except ValueError:
+                    raise ValueError(f"line {line}: {name} {cell!r} is not a number") from None
+                if v is not None and not np.isfinite(v):
+                    raise ValueError(f"line {line}: {name} {cell!r} is not finite")
+                values.append(v)
+            yield line, oil_id, values, row
+
+
+def write_csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a table as ``csv.writer`` quotes it, each line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def load_labels(path: str | Path) -> list[OilRecord]:
+    """Read an oil labels CSV, ``oil_id,acidity,peroxide,k270,k232,ethyl_esters,quality``;
+    missing values are ``-`` or empty."""
+    records: list[OilRecord] = []
+    for line, oil_id, values, cells in read_oil_table(path, LABELS_HEADER):
+        qcell = cells[6].strip()
+        try:
+            quality = Quality(qcell)
+        except ValueError:
+            raise ValueError(f"line {line}: bad quality {qcell!r}") from None
+        try:
+            records.append(OilRecord(oil_id, *values, quality=quality))
+        except ValueError as e:
+            raise ValueError(f"line {line}: {e}") from None
     return records
 
 

@@ -17,7 +17,9 @@ so no label error is reported beside it.
 
 ``summary.json`` is the run that ``report`` and ``compare`` read back through
 ``summary_from_dict``; ``folds.csv`` and ``scatter.csv`` are exports, and
-``report`` writes ``scatter_all.csv`` from the summaries it read.
+``report`` writes ``scatter_all.csv`` from the summaries it read.  The
+exports go through ``data.write_csv_text``, so an oil id is quoted as
+Python's ``csv`` quotes it and every line ends in ``\\n``.
 
 Validation runs every ``nn.VAL_EVERY`` epochs and on the last one.  That
 cadence decides which snapshot a run selects, so it is a constant rather
@@ -41,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, ParameterId, normalize
+from .data import Dataset, ParameterId, normalize, write_csv_text
 from .nn import (
     DivergenceError,
     HyperParams,
@@ -343,19 +345,16 @@ def save_summary(summary: CvSummary, path: str | Path, **extra) -> None:
 
 def save_fold_csv(summary: CvSummary, path: str | Path) -> None:
     """One row per fold, for spreadsheets; ``summary.json`` holds the same values."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("parameter,held_out_oil,true_value,mae_train,mae_val,chosen_checkpoint\n")
-        for f in summary.per_fold:
-            fh.write(f"{summary.parameter.value},{f.held_out_oil},{f.true_value!r},"
-                     f"{f.mae_train!r},{f.mae_val!r},{summary.checkpoint}\n")
+    Path(path).write_text(write_csv_text(
+        ("parameter", "held_out_oil", "true_value", "mae_train", "mae_val", "chosen_checkpoint"),
+        ((summary.parameter.value, f.held_out_oil, f.true_value, f.mae_train, f.mae_val,
+          summary.checkpoint) for f in summary.per_fold)), encoding="utf-8")
 
 
 def save_scatter_csv(summaries: Sequence[CvSummary], path: str | Path) -> None:
     """Predicted-vs-true pairs, one row per held-out spectrum of each run."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("parameter,oil_id,repetition,true_value,predicted\n")
-        for s in summaries:
-            for f in s.per_fold:
-                for rep, p in enumerate(f.predictions, start=1):
-                    fh.write(f"{s.parameter.value},{f.held_out_oil},{rep},"
-                             f"{f.true_value!r},{p!r}\n")
+    Path(path).write_text(write_csv_text(
+        ("parameter", "oil_id", "repetition", "true_value", "predicted"),
+        ((s.parameter.value, f.held_out_oil, rep, f.true_value, p)
+         for s in summaries for f in s.per_fold
+         for rep, p in enumerate(f.predictions, start=1))), encoding="utf-8")

@@ -130,11 +130,13 @@ import functools
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .data import write_csv_text
 
 
 class ShapeError(RuntimeError):
@@ -600,6 +602,9 @@ def _conv1_map(net: Network, op: np.ndarray, xb: np.ndarray, out: np.ndarray) ->
 def _check_batch(net: Network, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != net.input_len:
         raise ShapeError(f"batch shape {x.shape} does not match input length {net.input_len}")
+    activations = (net.dense1.activation, net.dense2.activation, net.output.activation)
+    if activations != ("relu", "relu", "identity"):
+        raise ShapeError(f"dense activations {activations} are not relu, relu, identity")
 
 
 def _infer(net: Network, x: np.ndarray) -> np.ndarray:
@@ -848,11 +853,9 @@ def train(
 
 
 def save_trace(trace: Sequence[EpochRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("epoch,train_mse,val_mse\n")
-        for r in trace:
-            v = "" if r.val_mse is None else repr(float(r.val_mse))
-            fh.write(f"{r.epoch},{repr(float(r.train_mse))},{v}\n")
+    # a missing val_mse, None, is written as an empty cell
+    Path(path).write_text(write_csv_text(("epoch", "train_mse", "val_mse"), map(astuple, trace)),
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import hashlib
 import shutil
@@ -341,6 +342,18 @@ class TestClassify:
         assert capsys.readouterr().err == (
             f"error: {table}: line 3: acidity 'abc' is not a number\n")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["D01,0.3"], "line 2: expected 6 fields, got 2"),
+        (["D01,0.3,-,-,-,-", "D01,0.4,-,-,-,-"], "duplicate oil_id 'D01' at line 3"),
+        ([",0.3,-,-,-,-"], "line 2: empty oil_id"),
+    ], ids=["truncated-row", "duplicate-id", "empty-id"])
+    def test_malformed_row_exit_2_naming_file_and_line(self, tmp_path, capsys, rows, message):
+        table = tmp_path / "predictions.csv"
+        table.write_text("\n".join(["oil_id,acidity,peroxide,k270,k232,ethyl_esters"] + rows)
+                         + "\n")
+        assert run(["classify", "--input", table]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {table}: {message}\n"
+
     def test_writes_verdicts_csv(self, tmp_path):
         out = tmp_path / "v"
         assert run(["classify", "--input", dmod.bundled_labels_path(),
@@ -362,6 +375,52 @@ class TestClassify:
                                 ["dataset_fingerprint"])
         assert fingerprints[0]["input.csv"] == fingerprints[1]["input.csv"]
         assert fingerprints[0]["thresholds.cfg"] != fingerprints[1]["thresholds.cfg"]
+
+
+class TestAwkwardOilIds:
+    """Oil ids holding a comma, a quote or a newline survive every table."""
+
+    IDS = {"D03": "D01,lot 7", "D04": 'D02 "b"', "D05": "D03\nx"}
+
+    def test_chain_tables_keep_their_width(self, tmp_path):
+        labels = tmp_path / "labels.csv"
+        with labels.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            for row in csv.reader(dmod.bundled_labels_path().read_text().splitlines()):
+                writer.writerow([self.IDS.get(row[0], row[0])] + row[1:])
+        quick = LOOCV_QUICK[:LOOCV_QUICK.index("--epochs")] + ["--epochs", 1] + LOOCV_QUICK[2:]
+        loocv = ["loocv", "--data", tmp_path / "ds", "--parameter", "acidity"] + quick
+        for argv in (["generate", "--labels", labels, "--pixels", 96, "--repetitions", 2,
+                      "--out", tmp_path / "ds"],
+                     loocv + ["--out", tmp_path / "ra"],
+                     loocv + ["--filters1", 3, "--out", tmp_path / "rb"],
+                     ["report", tmp_path / "ra", tmp_path / "rb", "--out", tmp_path / "rep"],
+                     ["classify", "--input", tmp_path / "rep" / "predictions.csv",
+                      "--out", tmp_path / "v"]):
+            assert run(argv) == 0, argv
+
+        tables = {}
+        for rel in ("ds/labels.csv", "ds/spectra.csv", "ra/folds.csv", "ra/scatter.csv",
+                    "rep/scatter_all.csv", "rep/predictions.csv", "v/verdicts.csv"):
+            with (tmp_path / rel).open(newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert {len(r) for r in rows} == {len(header)}, rel
+            tables[rel] = rows
+        assert set(self.IDS.values()) <= {r[0] for r in tables["rep/predictions.csv"]}
+        assert set(self.IDS.values()) <= {r[1] for r in tables["ra/folds.csv"]}
+
+        # the same predicted values in the labels layout grade the same
+        as_labels = tmp_path / "predicted_labels.csv"
+        with as_labels.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(dmod.LABELS_HEADER)
+            writer.writerows(r + ["LOO"] for r in tables["rep/predictions.csv"])
+        assert run(["classify", "--input", as_labels, "--out", tmp_path / "vl"]) == 0
+        with (tmp_path / "vl" / "verdicts.csv").open(newline="", encoding="utf-8") as fh:
+            from_labels = {r[0]: r[1] for r in list(csv.reader(fh))[1:]}
+        from_predictions = {r[0]: r[1] for r in tables["v/verdicts.csv"]}
+        assert from_predictions == from_labels
+        assert set(self.IDS.values()) <= set(from_predictions)
 
 
 class TestReport:
@@ -489,6 +548,22 @@ class TestExitCodes:
                 else self.argv(command, data, tmp_path / "o"))
         assert run(argv) == cli.EXIT_INPUT
         assert f"{where}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, name, message", [
+        ("loocv", "labels.csv", "line 3: expected 7 fields, got 6"),
+        ("generate", "labels.csv", "line 3: expected 7 fields, got 6"),
+        ("train", "spectra.csv", "line 3: expected 99 fields, got 98"),
+    ], ids=["labels-loocv", "labels-generate", "spectra-train"])
+    def test_short_row_exits_2_naming_its_file(self, dataset_dir, tmp_path, capsys,
+                                               command, name, message):
+        data = shutil.copytree(dataset_dir, tmp_path / "ds")
+        rows = (data / name).read_text().splitlines()
+        rows[2] = rows[2].rsplit(",", 1)[0]
+        (data / name).write_text("\n".join(rows) + "\n")
+        argv = (["generate", "--labels", data / name, "--pixels", 96, "--out", tmp_path / "o"]
+                if command == "generate" else self.argv(command, data, tmp_path / "o"))
+        assert run(argv) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {data / name}: {message}\n"
 
     def test_infinite_grid_value_exits_2_naming_the_grid(self, dataset_dir, tmp_path, capsys):
         data = shutil.copytree(dataset_dir, tmp_path / "ds")

@@ -141,6 +141,39 @@ class TestLoadLabels:
             load_labels(p)
 
 
+class TestOilTable:
+    HEADER = ("note", "oil_id", "acidity", "peroxide", "k270", "k232", "ethyl_esters")
+
+    def test_written_table_reads_back(self, tmp_path):
+        rows = [("a,b", "D01,lot 7", 0.1, "-", 1e-300, 2.5, 3.0),
+                ("", 'D02 "b"', 0.2, "", 0.5, 1.0, 2.0),
+                ("x", "D03\nx", 0.3, 4.0, 0.25, 0.5, 7.0)]
+        text = dmod.write_csv_text(self.HEADER, rows)
+        assert text.startswith("note,oil_id,acidity,") and "\r" not in text
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        # lines are numbered by record, so D03's embedded newline does not count
+        assert list(dmod.read_oil_table(path)) == [
+            (2, "D01,lot 7", [0.1, None, 1e-300, 2.5, 3.0], list(map(str, rows[0]))),
+            (3, 'D02 "b"', [0.2, None, 0.5, 1.0, 2.0], list(map(str, rows[1]))),
+            (4, "D03\nx", [0.3, 4.0, 0.25, 0.5, 7.0], list(map(str, rows[2]))),
+        ]
+
+    @pytest.mark.parametrize("body, message", [
+        ("", r"^line 1: empty file$"),
+        ("oil_id,acidity,peroxide,k270,k232\n", r"^line 1: missing columns \['ethyl_esters'\]$"),
+        ("oil_id,acidity,peroxide,k270,k232,ethyl_esters\nD01,abc,-,-,-,-\n",
+         r"^line 2: acidity 'abc' is not a number$"),
+        ("oil_id,acidity,peroxide,k270,k232,ethyl_esters\nD01,0.1,-,-,-,-inf\n",
+         r"^line 2: ethyl_esters '-inf' is not finite$"),
+    ], ids=["empty", "missing-column", "not-a-number", "not-finite"])
+    def test_bad_table_rejected(self, tmp_path, body, message):
+        path = tmp_path / "t.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
+            list(dmod.read_oil_table(path))
+
+
 class TestFilterForParameter:
     def test_table_counts(self, bundled_records, small_dataset):
         # counts checked on records alone (dataset fixture holds a subset)

@@ -413,6 +413,21 @@ class TestNetworkForward:
         with pytest.raises(ShapeError):
             forward(toy_net, np.ones(TOY_P + 1))
 
+    @pytest.mark.parametrize("change", [
+        lambda net: setattr(net, "dense1", DenseLayer(net.dense1.weights, net.dense1.biases,
+                                                      "identity")),
+        lambda net: setattr(net.dense2, "activation", "identity"),
+        lambda net: setattr(net.output, "activation", "relu"),
+    ], ids=["replaced-dense1", "dense2-field", "output-field"])
+    def test_activation_the_engine_would_ignore_rejected(self, toy_net, rng, change):
+        # the engine runs relu, relu, identity whatever the layers say
+        x = rng.standard_normal((3, TOY_P))
+        change(toy_net)
+        with pytest.raises(ShapeError, match="dense activations"):
+            forward(toy_net, x)
+        with pytest.raises(ShapeError, match="dense activations"):
+            nn.train(toy_net, x, np.zeros(3), TOY_HP, rng)
+
 
 def _adam_step(net, tmp_path):
     xs = np.random.default_rng(5).standard_normal((3, net.input_len))
