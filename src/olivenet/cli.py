@@ -188,10 +188,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_loocv(args) -> int:
     parameter, dataset, files = _load_dataset_dir(args)
     hp = _hp_from_args(args)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
+    jobs = args.jobs or _usable_cores()
 
     summary = emod.loocv(dataset, parameter, hp, args.seed, jobs=jobs)
 
@@ -385,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[q.value for q in dmod.ParameterId])
     l.add_argument("--seed", type=int, default=0)
     l.add_argument("--jobs", type=int, default=0,
-                   help="parallel folds; 0 = all cores (results identical)")
+                   help="parallel folds; 0 = all usable cores (results identical)")
     l.add_argument("--out", required=True)
     _add_hp_flags(l)
     l.set_defaults(func=cmd_loocv)

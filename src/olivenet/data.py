@@ -233,7 +233,8 @@ def read_oil_table(path: str | Path, header: Optional[Sequence[str]] = None):
     It needs ``oil_id`` and the five parameter columns (``values``, in
     ``PARAMETER_ORDER``, None for ``-`` or empty) and, given ``header``,
     exactly that header.  A record needs the header's width, a new non-empty
-    id and finite numbers.  Lines count records, the header being line 1.
+    id without a carriage return and finite numbers.  Lines count records,
+    the header being line 1.
     """
     names = ["oil_id"] + [p.value for p in PARAMETER_ORDER]
     with Path(path).open(newline="", encoding="utf-8") as fh:
@@ -256,6 +257,10 @@ def read_oil_table(path: str | Path, header: Optional[Sequence[str]] = None):
             oil_id = row[id_col].strip()
             if not oil_id:
                 raise ValueError(f"line {line}: empty oil_id")
+            # csv.writer with "\n" line ends leaves such an id unquoted, so
+            # the tables written from it would not read back
+            if "\r" in oil_id:
+                raise ValueError(f"line {line}: oil_id {oil_id!r} holds a carriage return")
             if oil_id in seen:
                 raise ValueError(f"duplicate oil_id {oil_id!r} at line {line}")
             seen.add(oil_id)

@@ -148,29 +148,37 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def design_matrices(dataset: Dataset, parameter: ParameterId):
-    """Normalized (N, P) matrix, per-spectrum targets and oil ids."""
-    rows, targets, ids = [], [], []
-    for s in dataset.spectra:
-        rows.append(normalize(s).intensities)
+    """Normalized (N, P) matrix, per-spectrum targets and oil ids.
+
+    Each spectrum is normalized straight into its row of the matrix, so no
+    second copy of the spectra is built on the way.
+    """
+    x = np.empty((len(dataset.spectra), len(dataset.grid)))
+    targets, ids = [], []
+    for row, s in zip(x, dataset.spectra):
+        row[:] = normalize(s).intensities
         v = dataset.record_for(s.oil_id).value_of(parameter)
         if v is None:
             raise ValueError(
                 f"oil {s.oil_id} lacks {parameter.value}; filter_for_parameter first")
         targets.append(v)
         ids.append(s.oil_id)
-    return np.stack(rows), np.array(targets), np.array(ids)
+    return x, np.array(targets), np.array(ids)
 
 
 def _run_fold(hold, x_all, y_all, ids, hp, seed):
     """Train the fold that holds out oil ``hold`` and score both checkpoints.
 
-    The fold's rows are sliced from the full matrices here, when it runs,
-    so only the running folds' copies are alive at any time.
+    The fold trains on and scores its training rows through their indices
+    into ``x_all``, so no fold copies them: a LOOCV holds one copy of its
+    normalized spectra, in the parent and in every worker.  Only the
+    held-out oil's few rows are sliced out, for the validation loss.
     """
     va = ids == hold
-    x_tr, y_tr, x_va, y_va = x_all[~va], y_all[~va], x_all[va], y_all[va]
+    tr = np.flatnonzero(~va)
+    y_tr, x_va, y_va = y_all[tr], x_all[va], y_all[va]
     rng = derive_rng(seed, "fold", hold)
-    net = build_network(hp, x_tr.shape[1], rng)
+    net = build_network(hp, x_all.shape[1], rng)
 
     # (loss, epoch, parameters) per checkpoint kind; epoch -1 is the untrained net
     snapshots = dict.fromkeys(CHECKPOINT_KINDS, (np.inf, -1, net.copy_parameters()))
@@ -181,7 +189,8 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed):
                 snapshots[kind] = (loss, epoch, live.copy_parameters())
 
     try:
-        train(net, x_tr, y_tr, hp, rng, validation=(x_va, y_va), callbacks=[keep_best])
+        train(net, x_all, y_all, hp, rng, rows=tr, validation=(x_va, y_va),
+              callbacks=[keep_best])
     except DivergenceError as e:
         raise DivergenceError(f"fold {hold}: {e}") from e
     except Exception as e:  # annotate with the fold id; a fault here is never an input error
@@ -195,7 +204,7 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed):
         if epoch not in scores:
             net.set_parameters(params)
             with np.errstate(over="ignore", invalid="ignore"):  # FoldResult rejects non-finite
-                scores[epoch] = forward(net, x_tr), forward(net, x_va)
+                scores[epoch] = forward(net, x_all, rows=tr), forward(net, x_va)
         pred_tr, pred_va = scores[epoch]
         out[kind] = FoldResult(
             held_out_oil=hold,
@@ -233,9 +242,11 @@ def loocv_checkpoint_runs(
 
     Folds are independent: each derives its own RNG stream from (seed,
     oil id), so results do not depend on execution order or on ``jobs``.
-    With ``jobs`` > 1 each worker receives the full matrices once, when it
-    starts, and each task carries only the held-out oil id.  The pool starts
-    all its workers at once, so ``jobs`` is capped at the number of oils.
+    The normalized spectra are built once, as one matrix, and every fold
+    trains and scores through row indices into it.  With ``jobs`` > 1 each
+    worker receives the full matrices once, when it starts, and each task
+    carries only the held-out oil id.  The pool starts all its workers at
+    once, so ``jobs`` is capped at the number of oils.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")

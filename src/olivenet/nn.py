@@ -607,8 +607,11 @@ def _check_batch(net: Network, x: np.ndarray) -> None:
         raise ShapeError(f"dense activations {activations} are not relu, relu, identity")
 
 
-def _infer(net: Network, x: np.ndarray) -> np.ndarray:
+def _infer(net: Network, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time.
+
+    Given ``rows``, it scores ``x[rows]`` without that copy: each chunk
+    gathers its own rows, the same rows the chunk of ``x[rows]`` holds.
 
     Conv2 is a block-Toeplitz product here: the pooled maps go into a
     zero-padded, position-major buffer (B, nb*s + k2 - 1, C1) whose blocks
@@ -621,14 +624,15 @@ def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     nb = -(-l2 // s)
     op1, op2 = _filter_operators(net)
     bias = net.conv1.biases[:, None, None]
-    rows = min(x.shape[0], INFER_CHUNK)
-    buf = np.empty((pool * c1, rows * lp))
-    padded = np.zeros((rows, nb * s + k2 - 1, c1))
-    y2 = np.empty((rows, nb, s * c2))
+    n = x.shape[0] if rows is None else len(rows)
+    cap = min(n, INFER_CHUNK)
+    buf = np.empty((pool * c1, cap * lp))
+    padded = np.zeros((cap, nb * s + k2 - 1, c1))
+    y2 = np.empty((cap, nb, s * c2))
     step = _rows_per_product(op2.size)
-    pred = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], INFER_CHUNK):
-        chunk = x[lo:lo + INFER_CHUNK]
+    pred = np.empty(n)
+    for lo in range(0, n, INFER_CHUNK):
+        chunk = x[lo:lo + INFER_CHUNK] if rows is None else x[rows[lo:lo + INFER_CHUNK]]
         b = chunk.shape[0]
         top = _conv1_map(net, op1, _conv1_blocks(net, chunk), buf).max(axis=0)
         # the bias enters after the max, exactly: rounding is monotone
@@ -751,14 +755,19 @@ def _train_step(net: Network, xb: np.ndarray, y: np.ndarray,
     }
 
 
-def forward(net: Network, x: np.ndarray):
+def forward(net: Network, x: np.ndarray, rows: Optional[np.ndarray] = None):
     """Predict for one normalized spectrum (P,) or a batch (B, P).
 
-    Deterministic: dropout is the identity outside training.
+    ``rows``, an integer index array into a batch, scores only those rows,
+    in that order: the result equals ``forward(net, x[rows])`` bit for bit,
+    without copying them out.  Deterministic: dropout is the identity
+    outside training.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    pred = _infer(net, x[None, :] if single else x)
+    if single and rows is not None:
+        raise ShapeError("rows index a batch (B, P), not a single spectrum")
+    pred = _infer(net, x[None, :] if single else x, rows)
     return float(pred[0]) if single else pred
 
 
@@ -801,6 +810,7 @@ def train(
     hp: HyperParams,
     rng: np.random.Generator,
     *,
+    rows: Optional[np.ndarray] = None,
     validation: Optional[tuple[np.ndarray, np.ndarray]] = None,
     callbacks: Sequence[Callable[[int, float, Optional[float], Network], None]] = (),
 ) -> list[EpochRecord]:
@@ -810,16 +820,23 @@ def train(
     the epoch's training MSE is the sample-weighted mean of its batch
     losses.  Validation MSE (no dropout) is computed every ``VAL_EVERY``
     epochs and on the last one.  Deterministic for a given rng seed.
+
+    ``rows``, an integer index array into ``spectra`` and ``targets``,
+    trains on those rows alone: each batch gathers its rows from the
+    matrix, so the caller needs no copy of the training set.  The trace
+    and the parameters equal those of training on ``spectra[rows]`` and
+    ``targets[rows]`` bit for bit.
     """
     spectra = np.asarray(spectra, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if spectra.ndim != 2 or spectra.shape[0] != targets.shape[0]:
         raise ShapeError("spectra and targets disagree in length")
-    if spectra.shape[0] == 0:
+    rows = np.arange(spectra.shape[0]) if rows is None else np.asarray(rows)
+    if rows.size == 0:
         raise ShapeError("nothing to train on")
     _check_batch(net, spectra)
 
-    n_total = spectra.shape[0]
+    n_total = rows.size
     opt = Adam(net.parameters(), hp.learning_rate)
     # the conv1 map and the operator-gradient terms of every batch, 3 MB
     # and 1.2 MB at the defaults
@@ -834,7 +851,7 @@ def train(
         # and callers check the trained model's parameters and predictions.
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, n_total, hp.batch):
-                idx = order[lo:lo + hp.batch]
+                idx = rows[order[lo:lo + hp.batch]]
                 y = targets[idx]
                 xb = _conv1_blocks(net, spectra[idx])
                 pred, grads = _train_step(net, xb, y, rng, buf, room)

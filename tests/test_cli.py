@@ -1,6 +1,7 @@
 import csv
 import json
 import hashlib
+import os
 import shutil
 
 import numpy as np
@@ -205,6 +206,30 @@ class TestLoocv:
         assert run(["loocv", "--data", data, "--parameter", "acidity",
                     "--out", tmp_path / "r"] + LOOCV_QUICK) == 2
         assert "empty spectra file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("affinity, cpus, jobs", [({0}, 2, 1), ({0, 2, 3}, 8, 3),
+                                                      (None, 3, 3), (None, None, 1)],
+                             ids=["pinned-to-one", "three-of-eight", "no-affinity",
+                                  "unknown-count"])
+    def test_jobs_zero_uses_the_usable_cores(self, dataset_dir, tmp_path, monkeypatch,
+                                             affinity, cpus, jobs):
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        seen = []
+        real = emod.loocv
+
+        def spy(*args, jobs, **kwargs):
+            seen.append(jobs)
+            return real(*args, jobs=1, **kwargs)
+
+        monkeypatch.setattr(emod, "loocv", spy)
+        argv = ["loocv", "--data", dataset_dir, "--parameter", "acidity", "--out",
+                tmp_path / "r"] + LOOCV_QUICK[:LOOCV_QUICK.index("--jobs")] + ["--epochs", 0]
+        assert run(argv + ["--jobs", 0]) == 0
+        assert seen == [jobs]
 
     def test_rerun_reproduces_numerical_outputs(self, dataset_dir, loocv_dir, tmp_path):
         again = tmp_path / "again"
@@ -421,6 +446,20 @@ class TestAwkwardOilIds:
         from_predictions = {r[0]: r[1] for r in tables["v/verdicts.csv"]}
         assert from_predictions == from_labels
         assert set(self.IDS.values()) <= set(from_predictions)
+
+    def test_carriage_return_in_id_exits_2_naming_its_line(self, tmp_path, capsys):
+        # csv.writer would leave such an id unquoted in the "\n"-ended tables
+        # that loocv and report write, and classify could not read them back
+        labels = tmp_path / "labels.csv"
+        rows = list(csv.reader(dmod.bundled_labels_path().read_text().splitlines()))
+        rows[2][0] = "D02\rx"
+        with labels.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert run(["generate", "--labels", labels, "--pixels", 96, "--repetitions", 2,
+                    "--out", tmp_path / "ds"]) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == \
+            f"error: {labels}: line 3: oil_id 'D02\\rx' holds a carriage return\n"
+        assert not (tmp_path / "ds").exists()
 
 
 class TestReport:

@@ -166,7 +166,9 @@ class TestOilTable:
          r"^line 2: acidity 'abc' is not a number$"),
         ("oil_id,acidity,peroxide,k270,k232,ethyl_esters\nD01,0.1,-,-,-,-inf\n",
          r"^line 2: ethyl_esters '-inf' is not finite$"),
-    ], ids=["empty", "missing-column", "not-a-number", "not-finite"])
+        ('oil_id,acidity,peroxide,k270,k232,ethyl_esters\r\nD01,0.1,-,-,-,-\r\n'
+         '"D02\rx",0.2,-,-,-,-\r\n', r"^line 3: oil_id 'D02\\rx' holds a carriage return$"),
+    ], ids=["empty", "missing-column", "not-a-number", "not-finite", "carriage-return-id"])
     def test_bad_table_rejected(self, tmp_path, body, message):
         path = tmp_path / "t.csv"
         path.write_text(body)

@@ -98,11 +98,12 @@ class TestFoldStructure:
         audited = []
         orig = emod.train
 
-        def audit(net, x_tr, y_tr, *args, validation, **kwargs):
+        def audit(net, x, y, *args, rows=None, validation, **kwargs):
+            x_tr = x if rows is None else x[rows]  # the rows train fits
             x_va = validation[0]
             shared = sum((x_tr == row).all(axis=1).any() for row in x_va)
             audited.append((x_tr.shape[0], x_va.shape[0], shared))
-            return orig(net, x_tr, y_tr, *args, validation=validation, **kwargs)
+            return orig(net, x, y, *args, rows=rows, validation=validation, **kwargs)
 
         monkeypatch.setattr(emod, "train", audit)
         hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 2,
@@ -164,9 +165,10 @@ class TestSeedPairsComparison:
 class TestFoldMemory:
     def test_fold_matrices_built_on_demand(self, bundled_records):
         # 22 folds at epochs=0: only scoring runs.  Live at the peak are the
-        # full matrix, one fold's training copy and its spectrum, and the
-        # scoring pass's working set: about 5.4 training copies here.
-        # Building every fold's copy up front holds 22 of them.
+        # full matrix, one fold's held-out rows and the scoring pass's
+        # working set, which gathers one chunk of rows at a time: about 3.3
+        # training copies here.  Building every fold's copy up front holds
+        # 22 of them.
         ds = tiny_dataset(bundled_records, pixels=1024, reps=8)
         hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 0,
                             "dense_sizes": QUICK_HP.dense_sizes})
@@ -178,6 +180,37 @@ class TestFoldMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * fold_bytes
+
+    def test_folds_train_on_the_design_matrix_itself(self, bundled_records, monkeypatch):
+        ds = tiny_dataset(bundled_records[:4], reps=2)
+        hp = HyperParams(**{**QUICK_HP.to_dict(), "epochs": 1,
+                            "dense_sizes": QUICK_HP.dense_sizes})
+        matrices, trained, scored = [], [], []
+        design, real_train, real_forward = emod.design_matrices, emod.train, emod.forward
+
+        def spy_design(*args):
+            out = design(*args)
+            matrices.append(out[0])
+            return out
+
+        def spy_train(net, spectra, *args, **kwargs):
+            trained.append(spectra)
+            return real_train(net, spectra, *args, **kwargs)
+
+        def spy_forward(net, x, **kwargs):
+            scored.append(x)
+            return real_forward(net, x, **kwargs)
+
+        monkeypatch.setattr(emod, "design_matrices", spy_design)
+        monkeypatch.setattr(emod, "train", spy_train)
+        monkeypatch.setattr(emod, "forward", spy_forward)
+        loocv_checkpoint_runs(ds, ParameterId.ACIDITY, hp, seed=1)
+        (x,) = matrices
+        assert len(trained) == 4 and all(np.shares_memory(s, x) for s in trained)
+        # each scoring pass: the training rows through the matrix, the held-out oil's copy
+        assert len(scored) == 8
+        assert all(np.shares_memory(s, x) for s in scored[::2])
+        assert not any(np.shares_memory(s, x) for s in scored[1::2])
 
 
 class TestDeterminismAndParallelism:

@@ -405,6 +405,17 @@ class TestNetworkForward:
         assert np.array_equal(forward(net, frozen), want)
         assert forward(net, frozen[3]) == forward(net, xs[3].copy())
 
+    def test_rows_equal_their_gathered_copy(self, rng):
+        # unsorted, with gaps, over three chunks, the last one partial
+        net = build_network(HyperParams(), 1024, np.random.default_rng(19))
+        xs = rng.standard_normal((3 * nn.INFER_CHUNK, 1024))
+        r = rng.permutation(len(xs))[:2 * nn.INFER_CHUNK + 9]
+        assert np.array_equal(forward(net, xs, rows=r), forward(net, xs[r]))
+
+    def test_rows_rejected_for_one_spectrum(self, toy_net, rng):
+        with pytest.raises(ShapeError, match="rows index a batch"):
+            forward(toy_net, rng.standard_normal(TOY_P), rows=np.array([0]))
+
     def test_eval_forward_pure(self, toy_net, rng):
         x = rng.standard_normal(TOY_P)
         assert forward(toy_net, x) == forward(toy_net, x)  # bitwise

@@ -140,6 +140,23 @@ class TestTrain:
               callbacks=[lambda e, t, v, net: seen.append(e)])
         assert seen == [0, 1, 2, 3]
 
+    def test_rows_train_exactly_as_their_copy(self, rng):
+        # unsorted rows with gaps, a partial last batch, dropout and validation
+        x, y = toy_problem(rng, n=30)
+        r = rng.permutation(30)[:21]
+        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 12, "batch": 8, "dropout": 0.5,
+                            "dense_sizes": TOY_HP.dense_sizes})
+        runs = []
+        for args, rows in (((x[r], y[r]), None), ((x, y), r)):
+            net = build_network(hp, TOY_P, np.random.default_rng(5))
+            trace = train(net, *args, hp, np.random.default_rng(6), rows=rows,
+                          validation=(x[:4], y[:4]))
+            runs.append((trace, net.copy_parameters()))
+        (t1, p1), (t2, p2) = runs
+        assert t1 == t2
+        for k in p1:
+            assert np.array_equal(p1[k], p2[k]), k
+
 
 class TestHyperParams:
     @pytest.mark.parametrize("field", ["learning_rate", "dropout"])
