@@ -32,7 +32,7 @@ dataset = generate_dataset(records, 395, repetitions=6, config=config,
 dataset = filter_for_parameter(dataset, ParameterId.ACIDITY)
 
 hp = HyperParams(ksize1=24, ksize2=8, pool=4, epochs=120, batch=16,
-                 dropout=0.25, dense_sizes=(12, 6))
+                 dropout=0.25, dense1=12, dense2=6)
 print(f"{dataset.n_oil} folds, {dataset.n_spectra - dataset.repetitions_per_oil} "
       f"training spectra per fold, {hp.epochs} epochs each...")
 

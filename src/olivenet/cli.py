@@ -113,26 +113,17 @@ _HP_HELP = {"epochs": f"default {nn.HyperParams.epochs} runs at desk scale; "
                       "the full-scale reference value is 10000"}
 
 
-def _hp_flags():
-    """(name, default) of each hyperparameter flag; dense_sizes gives two."""
-    for f in dataclasses.fields(nn.HyperParams):
-        if f.name == "dense_sizes":
-            yield from zip(("dense1", "dense2"), f.default)
-        else:
-            yield f.name, f.default
-
-
 def _hp_from_args(args) -> nn.HyperParams:
-    values = {name: getattr(args, name) for name, _ in _hp_flags()}
-    values["dense_sizes"] = (values.pop("dense1"), values.pop("dense2"))
-    return nn.HyperParams(**values)
+    return nn.HyperParams(**{f.name: getattr(args, f.name)
+                             for f in dataclasses.fields(nn.HyperParams)})
 
 
 def _add_hp_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per ``HyperParams`` field, with its default."""
     g = p.add_argument_group("hyperparameters")
-    for name, default in _hp_flags():
-        g.add_argument("--" + name.replace("_", "-"), type=type(default), default=default,
-                       help=_HP_HELP.get(name))
+    for f in dataclasses.fields(nn.HyperParams):
+        g.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+                       help=_HP_HELP.get(f.name))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +206,9 @@ def cmd_loocv(args) -> int:
           f"checkpoint {summary.checkpoint}, "
           f"<MAE_T>={summary.mean_mae_train:.4g} <MAE_V>={summary.mean_mae_val:.4g} "
           f"-> {out}")
-    if summary.leakage_ratio() > 3.0:
-        print("warning: <MAE_V> exceeds 3x <MAE_T>; possible leave-one-out leakage",
+    if summary.leakage_ratio() > emod.LEAKAGE_LIMIT:
+        print(f"warning: <MAE_V> exceeds {emod.LEAKAGE_LIMIT:g}x <MAE_T>; "
+              "possible leave-one-out leakage",
               file=sys.stderr)
     return EXIT_OK
 
@@ -321,7 +313,7 @@ def cmd_report(args) -> int:
         lines.append(
             f"{s.parameter.value:<14}{s.mean_mae_train:>10.3g}{s.sd_mae_train:>11.3g}"
             f"{s.mean_mae_val:>10.3g}{s.sd_mae_val:>11.3g}{pct:>11}  {run}")
-        if s.leakage_ratio() > 3.0:
+        if s.leakage_ratio() > emod.LEAKAGE_LIMIT:
             lines.append(f"  ^ warning: leakage guard tripped "
                          f"(<MAE_V>/<MAE_T> = {s.leakage_ratio():.2f})")
     table = "\n".join(lines) + "\n"
@@ -369,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="synthesize a spectra dataset from labels")
     g.add_argument("--labels", help="labels CSV (default: bundled 22-oil table)")
     g.add_argument("--gen-config", help="generator config file (default: bundled)")
-    g.add_argument("--excitation", type=int, default=395, choices=(365, 395))
+    g.add_argument("--excitation", type=int, default=395, choices=dmod.SUPPORTED_EXCITATIONS)
     g.add_argument("--repetitions", type=int, default=20)
     g.add_argument("--pixels", type=int, default=1024)
     g.add_argument("--grid-start", type=float, default=350.0)

@@ -379,12 +379,14 @@ def load_spectra(
 ) -> Dataset:
     """Read a spectra CSV plus its companion grid file into a Dataset.
 
-    The file is read one record at a time, never whole.
+    The file is read one record at a time, never whole.  Each ``(oil_id,
+    repetition)`` pair may appear once.
     """
     grid = load_grid(grid_path)
     p = len(grid)
     spectra: list[Spectrum] = []
     reps: dict[str, int] = {}
+    lines: dict[tuple[str, int], int] = {}  # the line of each (oil_id, repetition)
     with Path(spectra_path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -405,6 +407,11 @@ def load_spectra(
                 ))
             except ValueError as e:
                 raise ValueError(f"line {line}: {e}") from None
+            key = (row[0], spectra[-1].repetition)
+            if key in lines:
+                raise ValueError(f"line {line}: oil {key[0]!r} repetition {key[1]} "
+                                 f"repeats line {lines[key]}")
+            lines[key] = line
             reps[row[0]] = reps.get(row[0], 0) + 1
     if not spectra:
         raise ValueError("spectra file holds no rows")

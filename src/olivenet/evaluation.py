@@ -56,6 +56,10 @@ from .seeding import derive_rng
 
 CHECKPOINT_KINDS = ("best_val_loss", "best_train_loss")
 
+#: ``CvSummary.leakage_ratio`` above which ``loocv`` and ``report`` warn of
+#: possible leave-one-out leakage.
+LEAKAGE_LIMIT = 3.0
+
 
 @dataclass(frozen=True)
 class FoldResult:
@@ -169,14 +173,16 @@ def design_matrices(dataset: Dataset, parameter: ParameterId):
 def _run_fold(hold, x_all, y_all, ids, hp, seed):
     """Train the fold that holds out oil ``hold`` and score both checkpoints.
 
-    The fold trains on and scores its training rows through their indices
-    into ``x_all``, so no fold copies them: a LOOCV holds one copy of its
+    The fold trains on its training rows through their indices into
+    ``x_all``, so no fold copies them: a LOOCV holds one copy of its
     normalized spectra, in the parent and in every worker.  Only the
-    held-out oil's few rows are sliced out, for the validation loss.
+    held-out oil's few rows are sliced out, for the validation loss.  Each
+    distinct snapshot is scored in one pass over all of ``x_all``, whose
+    predictions split into the training rows and the held-out ones.
     """
     va = ids == hold
     tr = np.flatnonzero(~va)
-    y_tr, x_va, y_va = y_all[tr], x_all[va], y_all[va]
+    y_va = y_all[va]
     rng = derive_rng(seed, "fold", hold)
     net = build_network(hp, x_all.shape[1], rng)
 
@@ -189,7 +195,7 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed):
                 snapshots[kind] = (loss, epoch, live.copy_parameters())
 
     try:
-        train(net, x_all, y_all, hp, rng, rows=tr, validation=(x_va, y_va),
+        train(net, x_all, y_all, hp, rng, rows=tr, validation=(x_all[va], y_va),
               callbacks=[keep_best])
     except DivergenceError as e:
         raise DivergenceError(f"fold {hold}: {e}") from e
@@ -204,14 +210,14 @@ def _run_fold(hold, x_all, y_all, ids, hp, seed):
         if epoch not in scores:
             net.set_parameters(params)
             with np.errstate(over="ignore", invalid="ignore"):  # FoldResult rejects non-finite
-                scores[epoch] = forward(net, x_all, rows=tr), forward(net, x_va)
-        pred_tr, pred_va = scores[epoch]
+                scores[epoch] = forward(net, x_all)
+        pred = scores[epoch]
         out[kind] = FoldResult(
             held_out_oil=hold,
             true_value=float(y_va[0]),
-            mae_train=mae(pred_tr, y_tr),
-            mae_val=mae(pred_va, y_va),
-            predictions=tuple(float(v) for v in pred_va),
+            mae_train=mae(pred[tr], y_all[tr]),
+            mae_val=mae(pred[va], y_va),
+            predictions=tuple(float(v) for v in pred[va]),
         )
     return hold, out
 
@@ -243,9 +249,9 @@ def loocv_checkpoint_runs(
     Folds are independent: each derives its own RNG stream from (seed,
     oil id), so results do not depend on execution order or on ``jobs``.
     The normalized spectra are built once, as one matrix, and every fold
-    trains and scores through row indices into it.  With ``jobs`` > 1 each
-    worker receives the full matrices once, when it starts, and each task
-    carries only the held-out oil id.  The pool starts all its workers at
+    trains through row indices into it and scores it whole.  With ``jobs``
+    > 1 each worker receives the full matrices once, when it starts, and
+    each task carries only the held-out oil id.  The pool starts all its workers at
     once, so ``jobs`` is capped at the number of oils.
     """
     if jobs < 1:

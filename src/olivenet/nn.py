@@ -6,6 +6,10 @@ Architecture (fixed topology, configurable sizes)::
       -> Flatten -> Dropout -> Dense(d1, relu) -> Dense(d2, relu)
       -> Dense(1, identity)
 
+The topology fixes each layer's nonlinearity, so a ``DenseLayer`` is its
+weights and biases alone.  ``HyperParams`` has one field per
+``train``/``loocv`` flag: the sizes and the training settings.
+
 Pooling comes before the first ReLU.  ReLU is monotone, so it commutes with
 max exactly, even in floating point: relu(max(w)) == max(relu(w)) for every
 window w.  Gradients agree too: a window whose max is <= 0 outputs 0 and
@@ -151,10 +155,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-#: Hyperparameter tuning grid explored for this architecture.
-FILTERS_GRID = (4, 6)
-POOL_GRID = (8, 16)
-
 #: Epochs between validation passes in ``train``; the last epoch is always
 #: scored.  Fixed, not a flag: the best-validation checkpoint is picked among
 #: scored epochs, so the cadence is part of the protocol behind every result.
@@ -197,17 +197,14 @@ class Conv1DLayer:
 
 @dataclass
 class DenseLayer:
-    """Affine map plus activation: weights (out, in), biases (out,)."""
+    """Affine map: weights (out, in), biases (out,)."""
 
     weights: np.ndarray
     biases: np.ndarray
-    activation: str = "relu"
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         self.biases = np.asarray(self.biases, dtype=float)
-        if self.activation not in ("relu", "identity"):
-            raise ValueError("activation must be 'relu' or 'identity'")
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ShapeError("weights must be (out, in) with matching biases")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
@@ -225,13 +222,12 @@ class HyperParams:
     epochs: int = 500
     batch: int = 64
     learning_rate: float = 2e-3
-    dense_sizes: tuple[int, int] = (16, 8)
+    dense1: int = 16
+    dense2: int = 8
 
     def __post_init__(self):
-        if len(self.dense_sizes) != 2:
-            raise ValueError("dense_sizes must hold exactly two sizes")
         ints = (self.filters1, self.filters2, self.ksize1, self.ksize2,
-                self.pool, self.batch, *self.dense_sizes)
+                self.pool, self.batch, self.dense1, self.dense2)
         # a checkpoint header can hold 6.0 or true, which compare like sizes
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (*ints, self.epochs)):
             raise ValueError("size hyperparameters and epochs must be integers")
@@ -247,16 +243,6 @@ class HyperParams:
         # NaN fails both comparisons, so it is rejected with inf
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError("learning rate must be finite and nonnegative")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "dense_sizes": list(self.dense_sizes)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        d = dict(d)
-        if "dense_sizes" in d:
-            d["dense_sizes"] = tuple(d["dense_sizes"])
-        return cls(**d)
 
 
 @dataclass
@@ -275,9 +261,13 @@ class Network:
     output: DenseLayer
     hp: HyperParams
     input_len: int
-    shapes: dict[str, int] = field(default_factory=dict)
+    #: ``network_shapes(hp, input_len)``, derived on construction.
+    shapes: dict[str, int] = field(init=False)
     #: ``_filter_operators``'s memo: (key, operators).  Derived state, never an input.
     _operators: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.shapes = network_shapes(self.hp, self.input_len)
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays in checkpoint order."""
@@ -399,22 +389,23 @@ def maxpool_backward(grad_out: np.ndarray, argmax: np.ndarray, input_length: int
     return grad_x
 
 
-def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
+def dense_forward(x: np.ndarray, layer: DenseLayer, relu: bool = True) -> np.ndarray:
+    """The layer's affine map of x, through a relu unless ``relu`` is False (the output layer)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (layer.weights.shape[1],):
         raise ShapeError(f"input {x.shape} vs weights {layer.weights.shape}")
     z = layer.weights @ x + layer.biases
-    return np.maximum(z, 0.0) if layer.activation == "relu" else z
+    return np.maximum(z, 0.0) if relu else z
 
 
-def dense_backward(grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer
+def dense_backward(grad_out: np.ndarray, x: np.ndarray, layer: DenseLayer, relu: bool = True
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact adjoint; the relu derivative at 0 is taken as 0."""
+    """Exact adjoint of ``dense_forward``; the relu derivative at 0 is taken as 0."""
     x = np.asarray(x, dtype=float)
     grad_out = np.asarray(grad_out, dtype=float)
     if x.shape != (layer.weights.shape[1],) or grad_out.shape != layer.biases.shape:
         raise ShapeError("gradient/input shapes inconsistent with forward")
-    if layer.activation == "relu":
+    if relu:
         z = layer.weights @ x + layer.biases
         grad_out = grad_out * (z > 0)
     return layer.weights.T @ grad_out, np.outer(grad_out, x), grad_out.copy()
@@ -468,7 +459,7 @@ def network_shapes(hp: HyperParams, input_len: int) -> dict[str, int]:
     return {
         "input": input_len, "conv1": l1, "pool": lp, "conv2": l2,
         "flatten": hp.filters2 * l2,
-        "dense1": hp.dense_sizes[0], "dense2": hp.dense_sizes[1], "output": 1,
+        "dense1": hp.dense1, "dense2": hp.dense2, "output": 1,
     }
 
 
@@ -478,9 +469,8 @@ def build_network(hp: HyperParams, input_len: int, rng: np.random.Generator) -> 
     Initialization draws happen in a fixed order, so equal seeds give equal
     networks.
     """
-    shapes = network_shapes(hp, input_len)
-    d1, d2 = hp.dense_sizes
-    flat = shapes["flatten"]
+    d1, d2 = hp.dense1, hp.dense2
+    flat = network_shapes(hp, input_len)["flatten"]
 
     def he(shape, fan_in):
         return rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
@@ -488,11 +478,11 @@ def build_network(hp: HyperParams, input_len: int, rng: np.random.Generator) -> 
     conv1 = Conv1DLayer(he((hp.filters1, 1, hp.ksize1), hp.ksize1), np.zeros(hp.filters1))
     conv2 = Conv1DLayer(he((hp.filters2, hp.filters1, hp.ksize2), hp.filters1 * hp.ksize2),
                         np.zeros(hp.filters2))
-    dense1 = DenseLayer(he((d1, flat), flat), np.zeros(d1), "relu")
-    dense2 = DenseLayer(he((d2, d1), d1), np.zeros(d2), "relu")
+    dense1 = DenseLayer(he((d1, flat), flat), np.zeros(d1))
+    dense2 = DenseLayer(he((d2, d1), d1), np.zeros(d2))
     lim = np.sqrt(6.0 / (d2 + 1))
-    out = DenseLayer(rng.uniform(-lim, lim, (1, d2)), np.zeros(1), "identity")
-    return Network(conv1, conv2, dense1, dense2, out, hp, input_len, shapes)
+    out = DenseLayer(rng.uniform(-lim, lim, (1, d2)), np.zeros(1))
+    return Network(conv1, conv2, dense1, dense2, out, hp, input_len)
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +592,10 @@ def _conv1_map(net: Network, op: np.ndarray, xb: np.ndarray, out: np.ndarray) ->
 def _check_batch(net: Network, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != net.input_len:
         raise ShapeError(f"batch shape {x.shape} does not match input length {net.input_len}")
-    activations = (net.dense1.activation, net.dense2.activation, net.output.activation)
-    if activations != ("relu", "relu", "identity"):
-        raise ShapeError(f"dense activations {activations} are not relu, relu, identity")
 
 
-def _infer(net: Network, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np.ndarray:
+def _infer(net: Network, x: np.ndarray) -> np.ndarray:
     """Eval-mode predictions for a batch (B, P), ``INFER_CHUNK`` rows at a time.
-
-    Given ``rows``, it scores ``x[rows]`` without that copy: each chunk
-    gathers its own rows, the same rows the chunk of ``x[rows]`` holds.
 
     Conv2 is a block-Toeplitz product here: the pooled maps go into a
     zero-padded, position-major buffer (B, nb*s + k2 - 1, C1) whose blocks
@@ -624,7 +608,7 @@ def _infer(net: Network, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np
     nb = -(-l2 // s)
     op1, op2 = _filter_operators(net)
     bias = net.conv1.biases[:, None, None]
-    n = x.shape[0] if rows is None else len(rows)
+    n = x.shape[0]
     cap = min(n, INFER_CHUNK)
     buf = np.empty((pool * c1, cap * lp))
     padded = np.zeros((cap, nb * s + k2 - 1, c1))
@@ -632,7 +616,7 @@ def _infer(net: Network, x: np.ndarray, rows: Optional[np.ndarray] = None) -> np
     step = _rows_per_product(op2.size)
     pred = np.empty(n)
     for lo in range(0, n, INFER_CHUNK):
-        chunk = x[lo:lo + INFER_CHUNK] if rows is None else x[rows[lo:lo + INFER_CHUNK]]
+        chunk = x[lo:lo + INFER_CHUNK]
         b = chunk.shape[0]
         top = _conv1_map(net, op1, _conv1_blocks(net, chunk), buf).max(axis=0)
         # the bias enters after the max, exactly: rounding is monotone
@@ -755,19 +739,18 @@ def _train_step(net: Network, xb: np.ndarray, y: np.ndarray,
     }
 
 
-def forward(net: Network, x: np.ndarray, rows: Optional[np.ndarray] = None):
+def forward(net: Network, x: np.ndarray):
     """Predict for one normalized spectrum (P,) or a batch (B, P).
 
-    ``rows``, an integer index array into a batch, scores only those rows,
-    in that order: the result equals ``forward(net, x[rows])`` bit for bit,
-    without copying them out.  Deterministic: dropout is the identity
-    outside training.
+    Deterministic: dropout is the identity outside training, and a batch is
+    scored in fixed chunks of ``INFER_CHUNK`` rows.  A row's last bits may
+    depend on which rows share its chunk, since the BLAS kernel can depend
+    on a product's row count; to score parts of one matrix alike, score the
+    matrix once and slice the result.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
-    if single and rows is not None:
-        raise ShapeError("rows index a batch (B, P), not a single spectrum")
-    pred = _infer(net, x[None, :] if single else x, rows)
+    pred = _infer(net, x[None, :] if single else x)
     return float(pred[0]) if single else pred
 
 
@@ -888,11 +871,13 @@ def save_network(net: Network, path: str | Path) -> None:
 
     Layout: magic ``OCNN1``, version byte, u32-LE header length, UTF-8 JSON
     architecture descriptor, then the parameter blocks as little-endian
-    float64 in ``Network.parameters()`` order (C row-major).
+    float64 in ``Network.parameters()`` order (C row-major).  The header's
+    ``hyperparams`` holds the ``HyperParams`` fields, with ``dense1`` and
+    ``dense2`` written as one pair, ``dense_sizes: [dense1, dense2]``.
     """
-    header = json.dumps(
-        {"input_len": net.input_len, "hyperparams": net.hp.to_dict()},
-        sort_keys=True).encode()
+    hp = asdict(net.hp)
+    hp["dense_sizes"] = [hp.pop("dense1"), hp.pop("dense2")]
+    header = json.dumps({"input_len": net.input_len, "hyperparams": hp}, sort_keys=True).encode()
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<B", CHECKPOINT_VERSION))
@@ -917,7 +902,11 @@ def load_network(path: str | Path) -> Network:
     if not isinstance(meta, dict) or not {"hyperparams", "input_len"} <= meta.keys():
         raise ValueError("checkpoint header lacks hyperparams or input_len")
     try:
-        hp = HyperParams.from_dict(meta["hyperparams"])
+        fields = dict(meta["hyperparams"])
+        sizes = list(fields.pop("dense_sizes", (HyperParams.dense1, HyperParams.dense2)))
+        if len(sizes) != 2:
+            raise ValueError(f"checkpoint dense_sizes {sizes!r} must hold exactly two sizes")
+        hp = HyperParams(**fields, dense1=sizes[0], dense2=sizes[1])
     except TypeError as e:  # an unknown key or a value of the wrong type
         raise ValueError(f"checkpoint hyperparams are malformed: {e}") from None
     if not isinstance(meta["input_len"], int):

@@ -8,9 +8,13 @@ from olivenet import synth
 
 TOY_HP = nn.HyperParams(
     filters1=2, filters2=3, ksize1=5, ksize2=3, pool=2,
-    dropout=0.0, epochs=5, batch=4, learning_rate=1e-3, dense_sizes=(6, 4),
+    dropout=0.0, epochs=5, batch=4, learning_rate=1e-3, dense1=6, dense2=4,
 )
 TOY_P = 64
+
+#: Hyperparameter tuning grid explored for this architecture.
+FILTERS_GRID = (4, 6)
+POOL_GRID = (8, 16)
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import finite_difference, train_step
+from conftest import FILTERS_GRID, POOL_GRID, finite_difference, train_step
 from olivenet import data as dmod
 from olivenet import evaluation as emod
 from olivenet import nn
@@ -71,14 +71,14 @@ def test_criterion_01_gradient_correctness():
                                        rtol=1e-4, atol=1e-7)
 
         for _ in range(20):  # dense layers, both activations
-            act = "relu" if rng.random() < 0.5 else "identity"
+            relu = bool(rng.random() < 0.5)
             n_in, n_out = int(rng.integers(1, 7)), int(rng.integers(1, 5))
             layer = nn.DenseLayer(rng.standard_normal((n_out, n_in)),
-                                  rng.standard_normal(n_out), act)
+                                  rng.standard_normal(n_out))
             x = rng.standard_normal(n_in)
             r = rng.standard_normal(n_out)
-            gx, gw, gb = nn.dense_backward(r, x, layer)
-            loss = lambda: float(nn.dense_forward(x, layer) @ r)
+            gx, gw, gb = nn.dense_backward(r, x, layer, relu=relu)
+            loss = lambda: float(nn.dense_forward(x, layer, relu=relu) @ r)
             np.testing.assert_allclose(gw, finite_difference(loss, layer.weights),
                                        rtol=1e-4, atol=1e-7)
             np.testing.assert_allclose(gb, finite_difference(loss, layer.biases),
@@ -120,7 +120,7 @@ def test_criterion_01_gradient_correctness():
 
         # composite gradient: every parameter of a P=64 toy network
         hp = nn.HyperParams(filters1=2, filters2=3, ksize1=5, ksize2=3, pool=2,
-                            dropout=0.0, dense_sizes=(6, 4))
+                            dropout=0.0, dense1=6, dense2=4)
         net = nn.build_network(hp, 64, np.random.default_rng(64))
         xs = rng.standard_normal((3, 64))
         ys = rng.standard_normal(3)
@@ -264,9 +264,9 @@ def test_criterion_08_quality_table_reproduction(bundled_records):
 def test_criterion_09_architecture_shape_algebra():
     with criterion(9, "shape chain matches closed form over the full tuning "
                       "grid at P=1024", budget_s=1):
-        for f1 in nn.FILTERS_GRID:
-            for f2 in nn.FILTERS_GRID:
-                for pool in nn.POOL_GRID:
+        for f1 in FILTERS_GRID:
+            for f2 in FILTERS_GRID:
+                for pool in POOL_GRID:
                     hp = nn.HyperParams(filters1=f1, filters2=f2, pool=pool)
                     s = nn.network_shapes(hp, 1024)
                     l1 = 1024 - hp.ksize1 + 1

@@ -179,7 +179,7 @@ class TestLoocv:
         x, y, ids = emod.design_matrices(ds, dmod.ParameterId.ACIDITY)
         hold = summary["folds"][0]["held_out_oil"]
         hp = nn.HyperParams(filters1=2, filters2=2, ksize1=9, ksize2=3, pool=4,
-                            dropout=0.0, epochs=0, dense_sizes=(6, 3))
+                            dropout=0.0, epochs=0, dense1=6, dense2=3)
         net = nn.build_network(hp, x.shape[1], derive_rng(3, "fold", hold))
         va = ids == hold
         untrained = emod.mae(nn.forward(net, x[va]), y[va])
@@ -571,12 +571,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, name, edit, where", [
         ("loocv", "spectra.csv", lambda rows: _set_cell(rows, 4, 10, "nan"), "line 4"),
         ("train", "spectra.csv", lambda rows: _set_cell(rows, 4, 10, "-inf"), "line 4"),
+        ("loocv", "spectra.csv", lambda rows: rows[:2] + [rows[1]] + rows[3:], "line 3"),
         ("loocv", "labels.csv", lambda rows: _set_cell(rows, 2, 1, "nan"), "line 2"),
         ("loocv", "labels.csv",
          lambda rows: [rows[0] + ",exp_error"] + [r + ",0.1" for r in rows[1:]], "line 1"),
         ("classify", "labels.csv", lambda rows: _set_cell(rows, 2, 1, "nan"), "line 2"),
         ("classify", "labels.csv", lambda rows: _set_cell(rows, 3, 2, "inf"), "line 3"),
-    ], ids=["nan-spectrum-loocv", "inf-spectrum-train", "nan-label", "exp-error-header",
+    ], ids=["nan-spectrum-loocv", "inf-spectrum-train", "repeated-spectrum", "nan-label",
+            "exp-error-header",
             "nan-classify", "inf-classify"])
     def test_bad_input_cell_exits_2_naming_its_line(self, dataset_dir, tmp_path, capsys,
                                                     command, name, edit, where):

@@ -332,8 +332,11 @@ class TestSpectraIO:
         (lambda ls: TestSpectraIO._cell(ls, 3, 2, "0"), r"^line 3: repetition is 1-based$"),
         (lambda ls: TestSpectraIO._cell(ls, 1, 1, "excitation"), r"^line 1: bad spectra header$"),
         (lambda ls: ls[:1], r"^spectra file holds no rows$"),
+        # line 2 copied over line 3: the oil keeps its count, with repetition 1 twice
+        (lambda ls: ls[:2] + [ls[1]] + ls[3:], r"^line 3: oil '\w+' repetition 1 repeats line 2$"),
     ], ids=["short-row", "long-row", "blank-line", "bad-cell", "empty-cell", "nan-cell",
-            "inf-last-cell", "bad-excitation", "bad-repetition", "bad-header", "no-rows"])
+            "inf-last-cell", "bad-excitation", "bad-repetition", "bad-header", "no-rows",
+            "repeated-repetition"])
     @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_bad_row_names_its_line(self, small_dataset, tmp_path, edit, message, eol):
         paths = self._edited(small_dataset, tmp_path, edit, eol)

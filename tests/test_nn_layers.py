@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TOY_HP, TOY_P, finite_difference, train_step
+from conftest import FILTERS_GRID, POOL_GRID, TOY_HP, TOY_P, finite_difference, train_step
 from olivenet import nn
 from olivenet.nn import (
     Conv1DLayer,
@@ -231,26 +231,25 @@ class TestStepPooling:
 
 class TestDense:
     def test_identity_layer(self):
-        layer = DenseLayer(np.eye(4), np.zeros(4), "identity")
+        layer = DenseLayer(np.eye(4), np.zeros(4))
         x = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.array_equal(dense_forward(x, layer), x)
+        assert np.array_equal(dense_forward(x, layer, relu=False), x)
 
     def test_relu_clips(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2), "relu")
+        layer = DenseLayer(np.eye(2), np.zeros(2))
         assert np.array_equal(dense_forward(np.array([-1.0, 2.0]), layer), [0.0, 2.0])
 
     def test_gradients_vs_finite_differences(self, rng):
-        for act in ("relu", "identity"):
+        for relu in (True, False):
             for _ in range(20):
-                layer = DenseLayer(rng.standard_normal((3, 4)),
-                                   rng.standard_normal(3), act)
+                layer = DenseLayer(rng.standard_normal((3, 4)), rng.standard_normal(3))
                 x = rng.standard_normal(4)
                 r = rng.standard_normal(3)
 
                 def loss():
-                    return float(dense_forward(x, layer) @ r)
+                    return float(dense_forward(x, layer, relu=relu) @ r)
 
-                gx, gw, gb = dense_backward(r, x, layer)
+                gx, gw, gb = dense_backward(r, x, layer, relu=relu)
                 np.testing.assert_allclose(gw, finite_difference(loss, layer.weights),
                                            rtol=1e-4, atol=1e-7)
                 np.testing.assert_allclose(gb, finite_difference(loss, layer.biases),
@@ -325,9 +324,9 @@ class TestBuildNetwork:
             assert np.array_equal(v, b.parameters()[k])
 
     def test_full_tuning_grid_shapes(self):
-        for f1 in nn.FILTERS_GRID:
-            for f2 in nn.FILTERS_GRID:
-                for pool in nn.POOL_GRID:
+        for f1 in FILTERS_GRID:
+            for f2 in FILTERS_GRID:
+                for pool in POOL_GRID:
                     hp = HyperParams(filters1=f1, filters2=f2, pool=pool)
                     s = network_shapes(hp, 1024)
                     l1 = 1024 - 40 + 1
@@ -348,7 +347,7 @@ def scalar_network_forward(net, x):
     h = h.reshape(-1)
     h = dense_forward(h, net.dense1)
     h = dense_forward(h, net.dense2)
-    return float(dense_forward(h, net.output)[0])
+    return float(dense_forward(h, net.output, relu=False)[0])
 
 
 class TestNetworkForward:
@@ -405,17 +404,6 @@ class TestNetworkForward:
         assert np.array_equal(forward(net, frozen), want)
         assert forward(net, frozen[3]) == forward(net, xs[3].copy())
 
-    def test_rows_equal_their_gathered_copy(self, rng):
-        # unsorted, with gaps, over three chunks, the last one partial
-        net = build_network(HyperParams(), 1024, np.random.default_rng(19))
-        xs = rng.standard_normal((3 * nn.INFER_CHUNK, 1024))
-        r = rng.permutation(len(xs))[:2 * nn.INFER_CHUNK + 9]
-        assert np.array_equal(forward(net, xs, rows=r), forward(net, xs[r]))
-
-    def test_rows_rejected_for_one_spectrum(self, toy_net, rng):
-        with pytest.raises(ShapeError, match="rows index a batch"):
-            forward(toy_net, rng.standard_normal(TOY_P), rows=np.array([0]))
-
     def test_eval_forward_pure(self, toy_net, rng):
         x = rng.standard_normal(TOY_P)
         assert forward(toy_net, x) == forward(toy_net, x)  # bitwise
@@ -423,21 +411,6 @@ class TestNetworkForward:
     def test_wrong_length_rejected(self, toy_net):
         with pytest.raises(ShapeError):
             forward(toy_net, np.ones(TOY_P + 1))
-
-    @pytest.mark.parametrize("change", [
-        lambda net: setattr(net, "dense1", DenseLayer(net.dense1.weights, net.dense1.biases,
-                                                      "identity")),
-        lambda net: setattr(net.dense2, "activation", "identity"),
-        lambda net: setattr(net.output, "activation", "relu"),
-    ], ids=["replaced-dense1", "dense2-field", "output-field"])
-    def test_activation_the_engine_would_ignore_rejected(self, toy_net, rng, change):
-        # the engine runs relu, relu, identity whatever the layers say
-        x = rng.standard_normal((3, TOY_P))
-        change(toy_net)
-        with pytest.raises(ShapeError, match="dense activations"):
-            forward(toy_net, x)
-        with pytest.raises(ShapeError, match="dense activations"):
-            nn.train(toy_net, x, np.zeros(3), TOY_HP, rng)
 
 
 def _adam_step(net, tmp_path):
@@ -566,7 +539,7 @@ def contract_step(net, xs, ys):
         flat = np.maximum(h2, 0.0).reshape(-1)
         a1 = dense_forward(flat, net.dense1)
         a2 = dense_forward(a1, net.dense2)
-        ga2, gw, gb = dense_backward(np.array([g]), a2, net.output)
+        ga2, gw, gb = dense_backward(np.array([g]), a2, net.output, relu=False)
         add("output", gw, gb)
         ga1, gw, gb = dense_backward(ga2, a1, net.dense2)
         add("dense2", gw, gb)
@@ -623,7 +596,7 @@ class TestCompositeGradient:
         # channel 0 (bias 0.5) ties in every pool window, channel 1 (bias
         # -0.5) has only all-negative windows, channel 2 is a random filter.
         hp = HyperParams(filters1=3, filters2=2, ksize1=5, ksize2=3, pool=pool,
-                         dropout=0.0, dense_sizes=(6, 4))
+                         dropout=0.0, dense1=6, dense2=4)
         net = build_network(hp, p, np.random.default_rng(21))
         net.conv1.filters[:2] = 0.0
         net.conv1.biases[:] = [0.5, -0.5, 0.1]
@@ -663,7 +636,7 @@ class TestCompositeGradient:
         lp = 24
         p = lp * pool + k1 - 1
         hp = HyperParams(filters1=3, filters2=2, ksize1=k1, ksize2=3, pool=pool,
-                         dropout=0.0, dense_sizes=(6, 4))
+                         dropout=0.0, dense1=6, dense2=4)
         net = build_network(hp, p, np.random.default_rng(13))
         assert net.shapes["conv1"] == lp * pool
         for name, param in net.parameters().items():
@@ -685,7 +658,7 @@ class TestCompositeGradient:
         # the stochastic map becomes differentiable and checkable by FD;
         # the mask is the step's only draw, so a twin rng rebuilds it
         hp = HyperParams(filters1=2, filters2=3, ksize1=5, ksize2=3, pool=2,
-                         dropout=0.5, dense_sizes=(6, 4))
+                         dropout=0.5, dense1=6, dense2=4)
         net = build_network(hp, TOY_P, np.random.default_rng(9))
         xs = rng.standard_normal((3, TOY_P))
         ys = rng.standard_normal(3)
@@ -702,7 +675,7 @@ class TestCompositeGradient:
                 flat = h.reshape(-1) * scale[i]
                 h = dense_forward(flat, net.dense1)
                 h = dense_forward(h, net.dense2)
-                preds.append(dense_forward(h, net.output)[0])
+                preds.append(dense_forward(h, net.output, relu=False)[0])
             return mse_loss(np.array(preds), ys)[0]
 
         loss0, _ = mse_loss(pred, ys)

@@ -47,7 +47,7 @@ def test_runs_with_scipy_blocked():
         import numpy as np
         from olivenet import nn
         hp = nn.HyperParams(filters1=2, filters2=2, ksize1=5, ksize2=3, pool=2,
-                            epochs=1, batch=4, dense_sizes=(6, 4))
+                            epochs=1, batch=4, dense1=6, dense2=4)
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal((10, 64)), rng.standard_normal(10)
         net = nn.build_network(hp, 64, rng)

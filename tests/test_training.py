@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,8 +35,7 @@ class TestTrain:
         net = build_network(TOY_HP, TOY_P, np.random.default_rng(1))
         before = net.copy_parameters()
         x, y = toy_problem(rng)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 1,
-                            "learning_rate": 0.0, "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=1, learning_rate=0.0)
         train(net, x, y, hp, np.random.default_rng(2))
         after = net.parameters()
         for k in before:
@@ -45,8 +45,7 @@ class TestTrain:
         net = build_network(TOY_HP, TOY_P, np.random.default_rng(1))
         before = net.copy_parameters()
         x, y = toy_problem(rng)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 0,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=0)
         trace = train(net, x, y, hp, np.random.default_rng(2))
         assert trace == []
         for k, v in net.parameters().items():
@@ -57,7 +56,7 @@ class TestTrain:
         # filter, pool 1) on positive inputs: reduces to an MLP on x
         hp = HyperParams(filters1=1, filters2=1, ksize1=1, ksize2=1, pool=1,
                          dropout=0.0, epochs=200, batch=8, learning_rate=2e-2,
-                         dense_sizes=(8, 4))
+                         dense1=8, dense2=4)
         p = 16
         x = rng.uniform(0.5, 1.5, (32, p))
         y = x.sum(axis=1) - 16.0
@@ -71,8 +70,7 @@ class TestTrain:
 
     def test_equal_seeds_identical_traces_and_weights(self, rng):
         x, y = toy_problem(rng)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 10, "dropout": 0.5,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=10, dropout=0.5)
         runs = []
         for _ in range(2):
             net = build_network(hp, TOY_P, np.random.default_rng(7))
@@ -86,8 +84,7 @@ class TestTrain:
 
     def test_validation_cadence(self, rng):
         x, y = toy_problem(rng)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 25,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=25)
         trace = train(net=build_network(hp, TOY_P, np.random.default_rng(0)),
                       spectra=x, targets=y, hp=hp, rng=np.random.default_rng(1),
                       validation=(x[:4], y[:4]))
@@ -99,8 +96,7 @@ class TestTrain:
         # Adam steps are bounded by lr, so overflow needs an absurd rate
         net = build_network(TOY_HP, TOY_P, np.random.default_rng(3))
         x, y = toy_problem(rng)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 5, "learning_rate": 1e200,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=5, learning_rate=1e200)
         with pytest.raises(DivergenceError, match=r"^non-finite training loss at epoch \d+$"):
             train(net, x, y, hp, np.random.default_rng(4))
 
@@ -108,8 +104,7 @@ class TestTrain:
         # train() reuses its conv1 buffers across batches, the last one
         # partial; replaying its steps with fresh arrays must agree bitwise
         x, y = toy_problem(rng, n=10)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 2, "batch": 4, "dropout": 0.5,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=2, batch=4, dropout=0.5)
         net = build_network(hp, TOY_P, np.random.default_rng(0))
         ref = build_network(hp, TOY_P, np.random.default_rng(0))
         train(net, x, y, hp, np.random.default_rng(1))
@@ -133,8 +128,7 @@ class TestTrain:
     def test_callbacks_see_every_epoch(self, rng):
         x, y = toy_problem(rng)
         seen = []
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 4,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=4)
         train(build_network(hp, TOY_P, np.random.default_rng(0)), x, y, hp,
               np.random.default_rng(1),
               callbacks=[lambda e, t, v, net: seen.append(e)])
@@ -144,8 +138,7 @@ class TestTrain:
         # unsorted rows with gaps, a partial last batch, dropout and validation
         x, y = toy_problem(rng, n=30)
         r = rng.permutation(30)[:21]
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 12, "batch": 8, "dropout": 0.5,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=12, batch=8, dropout=0.5)
         runs = []
         for args, rows in (((x[r], y[r]), None), ((x, y), r)):
             net = build_network(hp, TOY_P, np.random.default_rng(5))
@@ -170,8 +163,7 @@ class TestHyperParams:
 class TestTraceCsv:
     def test_round_trippable_text(self, tmp_path, rng):
         x, y = toy_problem(rng)
-        hp = HyperParams(**{**TOY_HP.to_dict(), "epochs": 3,
-                            "dense_sizes": TOY_HP.dense_sizes})
+        hp = replace(TOY_HP, epochs=3)
         trace = train(build_network(hp, TOY_P, np.random.default_rng(0)), x, y,
                       hp, np.random.default_rng(1), validation=(x, y))
         save_trace(trace, tmp_path / "trace.csv")
@@ -205,6 +197,27 @@ class TestCheckpointFormat:
         save_network(toy_net, tmp_path / "m.ocnn")
         assert forward(load_network(tmp_path / "m.ocnn"), x) == forward(toy_net, x)
 
+    def test_header_of_the_default_network(self, tmp_path):
+        # the two dense sizes are one pair in the header, as every
+        # checkpoint written so far holds them
+        save_network(build_network(HyperParams(), 1024, np.random.default_rng(0)),
+                     tmp_path / "m.ocnn")
+        raw = (tmp_path / "m.ocnn").read_bytes()
+        hlen = struct.unpack_from("<I", raw, 6)[0]
+        assert raw[10:10 + hlen] == (
+            b'{"hyperparams": {"batch": 64, "dense_sizes": [16, 8], "dropout": 0.5, '
+            b'"epochs": 500, "filters1": 6, "filters2": 4, "ksize1": 40, "ksize2": 20, '
+            b'"learning_rate": 0.002, "pool": 8}, "input_len": 1024}')
+
+    def test_header_without_dense_sizes_takes_the_defaults(self, tmp_path):
+        net = build_network(HyperParams(), 1024, np.random.default_rng(0))
+        save_network(net, tmp_path / "m.ocnn")
+        raw = _with_header((tmp_path / "m.ocnn").read_bytes(),
+                           lambda h: h["hyperparams"].pop("dense_sizes"))
+        (tmp_path / "old.ocnn").write_bytes(raw)
+        back = load_network(tmp_path / "old.ocnn")
+        assert (back.hp.dense1, back.hp.dense2) == (16, 8) and back.hp == net.hp
+
     def test_magic_and_layout(self, tmp_path, toy_net):
         save_network(toy_net, tmp_path / "m.ocnn")
         raw = (tmp_path / "m.ocnn").read_bytes()
@@ -233,6 +246,10 @@ class TestCheckpointFormat:
          "exactly two"),
         (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dense_sizes=[16, 8, 4])),
          "exactly two"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dense_sizes=16)),
+         "hyperparams are malformed"),
+        (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(dense1=6)),
+         "hyperparams are malformed: .*'dense1'"),
         # json writes these as the bare tokens NaN and Infinity and reads them back
         (lambda raw: _with_header(raw, lambda h: h["hyperparams"].update(learning_rate=np.nan)),
          "learning rate must be finite"),
@@ -244,7 +261,8 @@ class TestCheckpointFormat:
          "not booleans"),
     ], ids=["last-parameter", "magic-only", "no-header-length", "no-hyperparams",
             "unknown-hyperparam", "string-input-len", "float-size", "bool-size",
-            "one-dense-size", "three-dense-sizes", "nan-learning-rate", "inf-learning-rate",
+            "one-dense-size", "three-dense-sizes", "scalar-dense-sizes", "dense1-key",
+            "nan-learning-rate", "inf-learning-rate",
             "bool-learning-rate", "bool-dropout"])
     def test_truncated_file_rejected(self, tmp_path, toy_net, damage, cause):
         save_network(toy_net, tmp_path / "m.ocnn")
